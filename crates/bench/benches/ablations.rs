@@ -2,10 +2,10 @@
 //! validation service.
 //!
 //! * `early_exit_vs_record_all` — how much work the early-exit rule saves;
-//! * `strategy_comparison` — staged pipeline vs sequential vs batch
-//!   parallel vs pipelined, all through the single `ValidationService`
-//!   entry point;
-//! * `worker_scaling` — throughput as the stage worker pools grow.
+//! * `strategy_comparison` — the sequential reference vs the pipelined
+//!   executor, both through the single `ValidationService` entry point;
+//! * `worker_scaling` — throughput as the pipelined executor's worker
+//!   count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -60,7 +60,9 @@ fn bench_worker_scaling(c: &mut Criterion) {
     configure(&mut group);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            let service = ValidationService::builder().workers(w, w, w).build();
+            let service = ValidationService::builder()
+                .strategy(ExecutionStrategy::Pipelined { workers: w })
+                .build();
             b.iter(|| criterion::black_box(service.run(workload.items.clone()).records.len()));
         });
     }

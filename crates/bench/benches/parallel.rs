@@ -63,8 +63,8 @@ fn service(strategy: ExecutionStrategy, pacing: f64) -> ValidationService {
         .build()
 }
 
-/// Scheduling overhead at micro scale: the same small corpus through each
-/// strategy (no pacing — this isolates what the schedulers themselves
+/// Scheduling overhead at micro scale: the same small corpus through both
+/// strategies (no pacing — this isolates what the schedulers themselves
 /// cost).
 fn bench_scheduling(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel");

@@ -103,8 +103,8 @@ fn write_bench_point() {
     let direct_secs = started.elapsed().as_secs_f64();
     assert_eq!(direct.records.len(), size);
 
-    // The direct service runs 4+4+2 stage workers; give the daemon's
-    // flat per-case pool a comparable overlap budget (the simulated
+    // The direct service runs the pipelined executor; give the daemon's
+    // flat per-case pool a generous overlap budget too (the simulated
     // stage latencies reward concurrency even on few cores).
     let config = ServerConfig {
         workers: 10,

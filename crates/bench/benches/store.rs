@@ -111,7 +111,7 @@ fn write_bench_point() {
     let size = if cfg!(debug_assertions) { 200 } else { 2_000 };
     let matrix = ScenarioMatrix::new(size)
         .strategies(vec![
-            ExecutionStrategy::Staged,
+            ExecutionStrategy::Pipelined { workers: 2 },
             ExecutionStrategy::Sequential,
         ])
         .shards(2);

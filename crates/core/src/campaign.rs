@@ -7,7 +7,7 @@
 //!
 //! * directive model (OpenACC / OpenMP),
 //! * judge prompt style (plain / agent-direct / agent-indirect),
-//! * execution strategy (staged / sequential / batch parallel / pipelined),
+//! * execution strategy (pipelined at any worker count / sequential),
 //! * negative-probing fraction, and
 //! * judge calibration profile,
 //!
@@ -30,7 +30,10 @@
 //!
 //! let matrix = ScenarioMatrix::new(25_000)
 //!     .models(vec![DirectiveModel::OpenAcc, DirectiveModel::OpenMp])
-//!     .strategies(vec![ExecutionStrategy::Staged, ExecutionStrategy::RayonBatch])
+//!     .strategies(vec![
+//!         ExecutionStrategy::Sequential,
+//!         ExecutionStrategy::Pipelined { workers: 2 },
+//!     ])
 //!     .shards(4);
 //! let campaign = run_campaign(&matrix); // 4 scenarios x 25k cases
 //! println!("{}", campaign.comparison_table());
@@ -76,9 +79,7 @@ pub struct Scenario {
     pub probe_seed: u64,
     /// Seed for the judge's decision layer.
     pub judge_seed: u64,
-    /// Worker counts for the compile / execute / judge pools.
-    pub workers: (usize, usize, usize),
-    /// Capacity of the service's bounded inter-stage channels.
+    /// Capacity of the service's bounded output channel.
     pub channel_capacity: usize,
 }
 
@@ -129,11 +130,9 @@ impl Scenario {
     }
 
     fn builder(&self) -> vv_pipeline::ValidationServiceBuilder {
-        let (compile, exec, judge) = self.workers;
         ValidationService::builder()
             .mode(PipelineMode::RecordAll)
             .strategy(self.strategy)
-            .workers(compile, exec, judge)
             .channel_capacity(self.channel_capacity)
             .judge_style(self.prompt_style)
             .judge_profile(self.judge_profile.clone())
@@ -156,12 +155,11 @@ fn style_tag(style: PromptStyle) -> &'static str {
     }
 }
 
-fn strategy_tag(strategy: ExecutionStrategy) -> &'static str {
+fn strategy_tag(strategy: ExecutionStrategy) -> String {
     match strategy {
-        ExecutionStrategy::Staged => "staged",
-        ExecutionStrategy::Sequential => "seq",
-        ExecutionStrategy::RayonBatch => "perfile",
-        ExecutionStrategy::Pipelined { .. } => "pipelined",
+        ExecutionStrategy::Sequential => "seq".to_string(),
+        ExecutionStrategy::Pipelined { workers: 0 } => "pipelined".to_string(),
+        ExecutionStrategy::Pipelined { workers } => format!("pipelined:{workers}"),
     }
 }
 
@@ -180,9 +178,10 @@ fn profile_tag(profile: &JudgeProfile) -> &'static str {
 /// Builder enumerating scenarios over the cross product of its axes.
 ///
 /// Every axis defaults to a single value (OpenACC, agent-direct prompting,
-/// the staged strategy, the paper's 50% probe split, the LLMJ 1 profile),
-/// so setting one axis sweeps exactly that dimension. Axis order in the
-/// generated list: model, prompt style, strategy, probe fraction, profile.
+/// the default pipelined strategy, the paper's 50% probe split, the LLMJ 1
+/// profile), so setting one axis sweeps exactly that dimension. Axis order
+/// in the generated list: model, prompt style, strategy, probe fraction,
+/// profile.
 #[derive(Clone, Debug)]
 pub struct ScenarioMatrix {
     models: Vec<DirectiveModel>,
@@ -195,7 +194,6 @@ pub struct ScenarioMatrix {
     corpus_seed: u64,
     probe_seed: u64,
     judge_seed: u64,
-    workers: (usize, usize, usize),
     channel_capacity: usize,
 }
 
@@ -206,7 +204,7 @@ impl ScenarioMatrix {
         Self {
             models: vec![DirectiveModel::OpenAcc],
             prompt_styles: vec![PromptStyle::AgentDirect],
-            strategies: vec![ExecutionStrategy::Staged],
+            strategies: vec![ExecutionStrategy::default()],
             probe_fractions: vec![0.5],
             judge_profiles: vec![JudgeProfile::deepseek_agent_direct()],
             suite_size,
@@ -214,7 +212,6 @@ impl ScenarioMatrix {
             corpus_seed: 0xCA_3B_01,
             probe_seed: 0xCA_3B_02,
             judge_seed: 0xCA_3B_03,
-            workers: (4, 4, 2),
             channel_capacity: 64,
         }
     }
@@ -294,12 +291,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Worker counts for each scenario's compile / execute / judge pools.
-    pub fn workers(mut self, compile: usize, exec: usize, judge: usize) -> Self {
-        self.workers = (compile, exec, judge);
-        self
-    }
-
     /// Channel capacity of each scenario's service.
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = capacity;
@@ -348,7 +339,6 @@ impl ScenarioMatrix {
                                 corpus_seed: self.corpus_seed,
                                 probe_seed: self.probe_seed,
                                 judge_seed: self.judge_seed,
-                                workers: self.workers,
                                 channel_capacity: self.channel_capacity,
                             });
                         }
@@ -511,7 +501,7 @@ impl CampaignResults {
 
 /// Run every scenario of the matrix, rayon-parallel across scenarios
 /// (each scenario's shards stream sequentially through its own service,
-/// which already runs its stage pools in parallel).
+/// which already schedules its cases across its executor's workers).
 pub fn run_campaign(matrix: &ScenarioMatrix) -> CampaignResults {
     let scenarios = matrix.scenarios();
     // One content-addressed compile cache for the whole campaign: scenario
@@ -594,7 +584,7 @@ mod tests {
     #[test]
     fn comparison_table_has_one_row_per_scenario() {
         let matrix = ScenarioMatrix::new(30).strategies(vec![
-            ExecutionStrategy::Staged,
+            ExecutionStrategy::Pipelined { workers: 2 },
             ExecutionStrategy::Sequential,
         ]);
         let campaign = run_campaign(&matrix);
@@ -602,7 +592,7 @@ mod tests {
         assert_eq!(campaign.total_cases(), 60);
         let table = campaign.comparison_table();
         assert!(table.contains("CAMPAIGN: 2 scenarios, 60 cases"), "{table}");
-        assert!(table.contains("staged"), "{table}");
+        assert!(table.contains("pipelined:2"), "{table}");
         assert!(table.contains("seq"), "{table}");
         assert!(table.contains("p99 ms"), "{table}");
         assert!(table.contains("CC hit/miss"), "{table}");

@@ -18,9 +18,10 @@
 //! daemon's pools are warm).
 //!
 //! What does **not** travel: the scenario's local scheduling knobs
-//! (execution strategy, worker counts, channel capacity) — those belong
-//! to whichever service executes, and the pipeline's strategy-equivalence
-//! law guarantees the records are byte-identical regardless. What
+//! (execution strategy and its worker count, channel capacity) — those
+//! belong to whichever service executes, and the pipeline's
+//! strategy-equivalence law guarantees the records are byte-identical
+//! regardless. What
 //! *cannot* travel: a custom [`JudgeProfile`](vv_judge::JudgeProfile) —
 //! the wire pins the built-in calibrations by
 //! [`ProfileId`], and [`scenario_job_spec`] reports

@@ -3,10 +3,9 @@
 //!
 //! # Topology
 //!
-//! Where the staged strategy wires fixed per-stage worker pools together
-//! with channels, this executor gives every worker the whole pipeline:
-//! three shared [`Injector`] queues (compile → execute → judge) hold the
-//! stage transitions, and each of the `workers` threads pops from its
+//! Every worker owns the whole pipeline: three shared [`Injector`] queues
+//! (compile → execute → judge) hold the stage transitions, and each of the
+//! `workers` threads pops from its
 //! *home* stage first — homes are distributed by measured per-case stage
 //! cost, execute-heavy — then steals from the other stages,
 //! downstream-first, whenever its home queue is empty. A worker that finds
@@ -160,7 +159,7 @@ impl Ord for Pending {
 
 /// The submission-order release buffer in front of the output channel.
 struct Reorder {
-    tx: Option<Sender<(usize, CaseRecord)>>,
+    tx: Option<Sender<CaseRecord>>,
     pending: BinaryHeap<Pending>,
     next_emit: usize,
 }
@@ -193,7 +192,7 @@ struct Core {
 pub(crate) fn spawn(
     spec: PipelineSpec,
     items: impl Iterator<Item = WorkItem> + Send + 'static,
-    tx_done: Sender<(usize, CaseRecord)>,
+    tx_done: Sender<CaseRecord>,
     stats: &Arc<parking_lot::Mutex<PipelineStats>>,
     capacity: usize,
     workers: usize,
@@ -202,8 +201,8 @@ pub(crate) fn spawn(
     let core = Arc::new(Core {
         spec,
         // At least two cases per worker keeps every thread busy while the
-        // reorder buffer waits on a straggler; the channel capacity keeps
-        // the window consistent with what the staged strategy admits.
+        // reorder buffer waits on a straggler; the channel capacity sets
+        // the floor, so a configured capacity bounds memory as documented.
         window: capacity.max(2 * workers),
         queues: [Injector::new(), Injector::new(), Injector::new()],
         input: Mutex::new(InputState {
@@ -363,7 +362,7 @@ impl Core {
             reorder.next_emit += 1;
             released += 1;
             let disconnected = match &reorder.tx {
-                Some(tx) => tx.send((pending.seq, pending.record)).is_err(),
+                Some(tx) => tx.send(pending.record).is_err(),
                 None => true,
             };
             if disconnected {
@@ -468,8 +467,7 @@ fn worker(core: Arc<Core>, home: usize) {
 }
 
 /// Run one stage for one case. Identical per-case semantics to
-/// `ValidationService::process_one` and the staged topology — the parity
-/// tests pin this.
+/// `ValidationService::process_case` — the parity tests pin this.
 fn run_task(state: &mut WorkerState, task: Task) {
     match task {
         Task::Compile { seq, item } => {

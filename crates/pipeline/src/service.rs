@@ -1,4 +1,4 @@
-//! The validation service: one entry point for every execution strategy,
+//! The validation service: one entry point for both execution strategies,
 //! with pluggable stage backends and streaming results.
 //!
 //! [`ValidationService`] replaces the three hardcoded runner methods of the
@@ -8,19 +8,20 @@
 //! * [`ValidationService::run`] — batch: process a `Vec<WorkItem>` and get a
 //!   [`PipelineRun`] with records in submission order plus aggregate stats;
 //! * [`ValidationService::submit`] — streaming: feed any iterator of work
-//!   items and receive an iterator of [`CaseRecord`]s that yields each
-//!   record *as it completes*. Items flow through bounded channels, so the
+//!   items and receive an iterator of [`CaseRecord`]s in submission order.
+//!   Input is pulled lazily and the output channel is bounded, so the
 //!   suite can be arbitrarily large while memory stays constant.
 //!
-//! All four execution strategies share identical per-file semantics and
-//! therefore produce identical records for identical inputs (asserted by
-//! the strategy-parity tests); they differ only in scheduling.
+//! Both execution strategies share identical per-file semantics and
+//! therefore produce identical records, in the same order, for identical
+//! inputs (asserted by the strategy-parity tests); they differ only in
+//! scheduling.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 
 use crate::backend::{
@@ -30,7 +31,7 @@ use crate::backend::{
 use crate::persist::RecordStore;
 use crate::runner::PipelineRun;
 use crate::stats::PipelineStats;
-use crate::{CaseRecord, CompileSummary, PipelineConfig, PipelineMode, WorkItem};
+use crate::{CaseRecord, PipelineConfig, PipelineMode, WorkItem};
 use vv_corpus::CaseSource;
 use vv_judge::{JudgeProfile, PromptStyle};
 use vv_simcompiler::{CacheAdmission, CompileCache, CompileFetch, PersistentCache};
@@ -38,47 +39,22 @@ use vv_store::ArtifactStore;
 
 /// How the service schedules the per-file work.
 ///
-/// All strategies share identical per-file semantics and produce
-/// byte-identical records for identical inputs (the strategy-parity laws);
-/// they differ only in scheduling, so choosing one is purely a
-/// throughput/latency/footprint decision:
+/// Both strategies share identical per-file semantics and produce
+/// byte-identical records, in submission order, for identical inputs (the
+/// strategy-parity laws); they differ only in scheduling:
 ///
-/// * [`Staged`](Self::Staged) — fixed per-stage pools sized by
-///   [`PipelineConfig`]. Best when per-stage costs are known and stable,
-///   and when you want hard per-stage concurrency limits (e.g. "at most 2
-///   concurrent judge calls" to respect an external rate limit).
-/// * [`Sequential`](Self::Sequential) — one thread, submission order,
-///   no scheduling noise. The baseline for ablations and the right choice
-///   for debugging and for tiny batches where thread spawn overhead
-///   dominates.
-/// * [`RayonBatch`](Self::RayonBatch) — whole-case workers: parallel but
-///   not pipelined. Simple and effective when cases are uniform and no
-///   per-stage limits are needed; a slow stage of one case never blocks a
-///   different stage of another, because workers make no attempt to
-///   specialize.
-/// * [`Pipelined`](Self::Pipelined) — stage-pipelined work stealing: a
-///   single elastic pool where each worker prefers a home stage but steals
-///   any ready work, with lazy input admission and an ordered output
-///   stream. Best sustained throughput on mixed workloads and the only
-///   strategy whose stream yields records in *submission* order; prefer it
-///   when scaling across cores matters more than hard per-stage caps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// * [`Pipelined`](Self::Pipelined) — the default: stage-pipelined work
+///   stealing over a pool of workers, with lazy input admission and an
+///   ordered output stream.
+/// * [`Sequential`](Self::Sequential) — one thread, one case at a time,
+///   no scheduling at all. The slow reference oracle the parity tests
+///   compare [`Pipelined`](Self::Pipelined) against, and the baseline for
+///   the scaling benchmarks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutionStrategy {
-    /// The paper's Figure-2 design: one worker pool per stage, connected by
-    /// bounded channels (backpressure included). Files that fail an early
-    /// stage never occupy a slot in the expensive judge pool.
-    #[default]
-    Staged,
-    /// One worker processes every file through all stages, in submission
-    /// order. The baseline for the ablation benchmarks.
+    /// One worker thread runs every stage for each file, in submission
+    /// order.
     Sequential,
-    /// Batch parallelism: each worker runs all stages for one file
-    /// ("parallel but not pipelined"). The worker count is the sum of the
-    /// three stage pools, so `workers(...)` budgets comparably across
-    /// strategies. The name is kept from the rayon-based runner this
-    /// scheduling mode replaces (the ablation benchmarks' terminology);
-    /// the implementation uses the service's own worker threads.
-    RayonBatch,
     /// Stage-pipelined work stealing over `workers` threads (`0` = one per
     /// available core): per-worker home stages sized to measured stage
     /// cost, stealing across stages, lazy input admission bounded by an
@@ -91,22 +67,25 @@ pub enum ExecutionStrategy {
     },
 }
 
+impl Default for ExecutionStrategy {
+    /// `Pipelined { workers: 0 }`: one worker per available core.
+    fn default() -> Self {
+        ExecutionStrategy::Pipelined { workers: 0 }
+    }
+}
+
 impl ExecutionStrategy {
-    /// All strategies, in display order (`Pipelined` at its auto-sized
+    /// Both strategies, in display order (`Pipelined` at its auto-sized
     /// worker count).
-    pub const ALL: [ExecutionStrategy; 4] = [
-        ExecutionStrategy::Staged,
+    pub const ALL: [ExecutionStrategy; 2] = [
         ExecutionStrategy::Sequential,
-        ExecutionStrategy::RayonBatch,
         ExecutionStrategy::Pipelined { workers: 0 },
     ];
 
     /// A short label for tables and logs.
     pub fn label(&self) -> &'static str {
         match self {
-            ExecutionStrategy::Staged => "staged",
             ExecutionStrategy::Sequential => "sequential",
-            ExecutionStrategy::RayonBatch => "batch parallel",
             ExecutionStrategy::Pipelined { .. } => "pipelined",
         }
     }
@@ -119,8 +98,7 @@ impl ExecutionStrategy {
 ///
 /// let service = ValidationService::builder()
 ///     .mode(PipelineMode::RecordAll)
-///     .workers(2, 2, 1)
-///     .strategy(ExecutionStrategy::Staged)
+///     .strategy(ExecutionStrategy::Pipelined { workers: 2 })
 ///     .build();
 /// let run = service.run(Vec::new());
 /// assert_eq!(run.stats.submitted, 0);
@@ -156,23 +134,15 @@ impl ValidationServiceBuilder {
         self
     }
 
-    /// Worker counts for the compile, execute and judge pools.
-    pub fn workers(mut self, compile: usize, exec: usize, judge: usize) -> Self {
-        self.config.compile_workers = compile;
-        self.config.exec_workers = exec;
-        self.config.judge_workers = judge;
-        self
-    }
-
-    /// Capacity of the bounded inter-stage channels.
+    /// Capacity of the bounded output channel, which is also the floor of
+    /// the pipelined executor's in-flight window.
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.config.channel_capacity = capacity;
         self
     }
 
-    /// Scheduling strategy (staged pipeline, sequential, batch parallel, or
-    /// the pipelined work-stealing executor); see [`ExecutionStrategy`] for
-    /// when each is appropriate.
+    /// Scheduling strategy (the pipelined work-stealing executor, or the
+    /// sequential reference); see [`ExecutionStrategy`].
     pub fn strategy(mut self, strategy: ExecutionStrategy) -> Self {
         self.strategy = strategy;
         self
@@ -453,9 +423,9 @@ impl ValidationService {
 
     /// Streaming entry point for corpus pipelines: drain a
     /// [`CaseSource`] directly. Generation (and probing, when the source
-    /// includes a `probe` stage) happens lazily on the feeder thread as the
-    /// bounded channels demand more work, so generation → compile → execute
-    /// → judge runs end-to-end in constant memory — the suite is never
+    /// includes a `probe` stage) happens lazily on the worker threads as
+    /// they admit more work, so generation → compile → execute → judge
+    /// runs end-to-end in constant memory — the suite is never
     /// materialized, whatever its size.
     pub fn submit_source<S>(&self, source: S) -> RecordStream
     where
@@ -476,9 +446,9 @@ impl ValidationService {
     }
 
     /// Streaming entry point: feed an iterator of work items, get an
-    /// iterator of records that yields each one *as it completes* (not in
-    /// submission order). Backpressure through the bounded channels keeps
-    /// memory constant for arbitrarily large suites.
+    /// iterator of records in submission order. Input is pulled lazily and
+    /// the output channel is bounded, so memory stays constant for
+    /// arbitrarily large suites.
     pub fn submit<I>(&self, items: I) -> RecordStream
     where
         I: IntoIterator<Item = WorkItem>,
@@ -487,20 +457,25 @@ impl ValidationService {
         let started = Instant::now();
         let stats = Arc::new(Mutex::new(PipelineStats::default()));
         let capacity = self.config.channel_capacity.max(1);
-        let (tx_done, rx_done) = bounded::<(usize, CaseRecord)>(capacity);
+        let (tx_done, rx_done) = bounded::<CaseRecord>(capacity);
+        let items = items.into_iter();
         let handles = match self.strategy {
-            ExecutionStrategy::Staged => {
-                self.spawn_staged(items.into_iter(), tx_done, &stats, capacity)
-            }
             ExecutionStrategy::Sequential => {
-                self.spawn_batch(items.into_iter(), tx_done, &stats, capacity, 1)
-            }
-            ExecutionStrategy::RayonBatch => {
-                let workers = (self.config.compile_workers
-                    + self.config.exec_workers
-                    + self.config.judge_workers)
-                    .max(1);
-                self.spawn_batch(items.into_iter(), tx_done, &stats, capacity, workers)
+                let service = self.clone();
+                let stats = Arc::clone(&stats);
+                vec![std::thread::spawn(move || {
+                    let mut local = PipelineStats::default();
+                    for item in items {
+                        local.submitted += 1;
+                        let record = service.process_case(&item, &mut local);
+                        // A failed send means the consumer dropped the
+                        // stream: stop pulling input.
+                        if tx_done.send(record).is_err() {
+                            break;
+                        }
+                    }
+                    stats.lock().merge(&local);
+                })]
             }
             ExecutionStrategy::Pipelined { workers } => {
                 let workers = if workers == 0 {
@@ -518,7 +493,7 @@ impl ValidationService {
                     judge: Arc::clone(&self.judge),
                     record_store: self.record_store.clone(),
                 };
-                crate::parallel::spawn(spec, items.into_iter(), tx_done, &stats, capacity, workers)
+                crate::parallel::spawn(spec, items, tx_done, &stats, capacity, workers)
             }
         };
         RecordStream {
@@ -531,302 +506,28 @@ impl ValidationService {
         }
     }
 
-    /// The staged Figure-2 topology: feeder → compile pool → execute pool →
-    /// judge pool, all connected by bounded channels; every stage can also
-    /// short-circuit to the done channel in early-exit mode.
-    fn spawn_staged(
-        &self,
-        items: impl Iterator<Item = WorkItem> + Send + 'static,
-        tx_done: Sender<(usize, CaseRecord)>,
-        stats: &Arc<Mutex<PipelineStats>>,
-        capacity: usize,
-    ) -> Vec<JoinHandle<()>> {
-        struct AfterCompile {
-            index: usize,
-            item: WorkItem,
-            compile: CompileSummary,
-            artifact: Option<vv_simcompiler::Program>,
-            signals: Option<Arc<vv_judge::CodeSignals>>,
-        }
-        struct AfterExec {
-            index: usize,
-            item: WorkItem,
-            compile: CompileSummary,
-            exec: Option<crate::ExecSummary>,
-            signals: Option<Arc<vv_judge::CodeSignals>>,
-        }
-
-        let mode = self.config.mode;
-        let mut handles = Vec::new();
-
-        let (tx_items, rx_items) = bounded::<(usize, WorkItem)>(capacity);
-        let (tx_compiled, rx_compiled) = bounded::<AfterCompile>(capacity);
-        let (tx_executed, rx_executed) = bounded::<AfterExec>(capacity);
-
-        // Feeder: pulls lazily from the caller's iterator, so only
-        // `capacity` items are ever in flight per stage.
-        {
-            let stats = Arc::clone(stats);
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in items.enumerate() {
-                    stats.lock().submitted += 1;
-                    if tx_items.send((index, item)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-
-        // Compile stage. Also the store layer's probe point: a stored
-        // record short-circuits every stage, so hits never occupy a slot
-        // downstream.
-        for _ in 0..self.config.compile_workers.max(1) {
-            let rx = rx_items.clone();
-            let tx_next = tx_compiled.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let backend = Arc::clone(&self.compile);
-            let record_store = self.record_store.clone();
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in rx.iter() {
-                    if let Some(store) = &record_store {
-                        if let Some(record) = store.lookup(&item) {
-                            {
-                                let mut s = stats.lock();
-                                s.store_hits += 1;
-                                // Replay the stored stages into the
-                                // aggregates, so hit-heavy runs report the
-                                // same stage counters as cold ones.
-                                s.observe_record(&record);
-                            }
-                            if tx_done.send((index, record)).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        stats.lock().store_misses += 1;
-                    }
-                    let CompileOutput {
-                        summary: compile,
-                        artifact,
-                        signals,
-                        fetch,
-                    } = backend.compile(&item);
-                    {
-                        let mut s = stats.lock();
-                        s.compiled += 1;
-                        if !compile.succeeded {
-                            s.compile_failures += 1;
-                        }
-                        match fetch {
-                            Some(CompileFetch::Fresh) => s.compile_cache_misses += 1,
-                            Some(_) => s.compile_cache_hits += 1,
-                            None => {}
-                        }
-                    }
-                    if !compile.succeeded && mode == PipelineMode::EarlyExit {
-                        let record = CaseRecord {
-                            id: item.id.clone(),
-                            compile,
-                            exec: None,
-                            judgement: None,
-                        };
-                        if let Some(store) = &record_store {
-                            store.persist(&item, &record);
-                        }
-                        // A failed send means the consumer is gone; stop and
-                        // let the dropped receiver cancel the stages above.
-                        if tx_done.send((index, record)).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    if tx_next
-                        .send(AfterCompile {
-                            index,
-                            item,
-                            compile,
-                            artifact,
-                            signals,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx_compiled);
-        drop(rx_items);
-
-        // Execute stage.
-        for _ in 0..self.config.exec_workers.max(1) {
-            let rx = rx_compiled.clone();
-            let tx_next = tx_executed.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let backend = Arc::clone(&self.exec);
-            let record_store = self.record_store.clone();
-            handles.push(std::thread::spawn(move || {
-                for msg in rx.iter() {
-                    let exec = msg
-                        .artifact
-                        .as_ref()
-                        .map(|program| backend.execute(&msg.item, program));
-                    if exec.is_some() {
-                        let mut s = stats.lock();
-                        s.executed += 1;
-                        if exec.as_ref().is_some_and(|e| !e.passed) {
-                            s.exec_failures += 1;
-                        }
-                    }
-                    let failed = exec.as_ref().is_none_or(|e| !e.passed);
-                    if failed && mode == PipelineMode::EarlyExit {
-                        let record = CaseRecord {
-                            id: msg.item.id.clone(),
-                            compile: msg.compile,
-                            exec,
-                            judgement: None,
-                        };
-                        if let Some(store) = &record_store {
-                            store.persist(&msg.item, &record);
-                        }
-                        if tx_done.send((msg.index, record)).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    let next = AfterExec {
-                        index: msg.index,
-                        item: msg.item,
-                        compile: msg.compile,
-                        exec,
-                        signals: msg.signals,
-                    };
-                    if tx_next.send(next).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx_executed);
-        drop(rx_compiled);
-
-        // Judge stage.
-        for _ in 0..self.config.judge_workers.max(1) {
-            let rx = rx_executed.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let backend = Arc::clone(&self.judge);
-            let record_store = self.record_store.clone();
-            handles.push(std::thread::spawn(move || {
-                for msg in rx.iter() {
-                    let judgement = backend.judge(
-                        &msg.item,
-                        &msg.compile,
-                        msg.exec.as_ref(),
-                        msg.signals.as_deref(),
-                    );
-                    {
-                        let mut s = stats.lock();
-                        s.judged += 1;
-                        s.observe_judge_latency_ms(judgement.latency_ms);
-                        if !judgement.verdict_or_invalid().is_valid() {
-                            s.judge_rejections += 1;
-                        }
-                    }
-                    let record = CaseRecord {
-                        id: msg.item.id.clone(),
-                        compile: msg.compile,
-                        exec: msg.exec,
-                        judgement: Some(judgement),
-                    };
-                    if let Some(store) = &record_store {
-                        store.persist(&msg.item, &record);
-                    }
-                    if tx_done.send((msg.index, record)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(rx_executed);
-        // tx_done: the last clone is dropped when the judge workers exit.
-
-        handles
-    }
-
-    /// Whole-file workers: each worker pulls an item and runs every stage
-    /// for it. `workers == 1` is the sequential baseline; `workers > 1` is
-    /// the "parallel but not pipelined" comparison point.
-    fn spawn_batch(
-        &self,
-        items: impl Iterator<Item = WorkItem> + Send + 'static,
-        tx_done: Sender<(usize, CaseRecord)>,
-        stats: &Arc<Mutex<PipelineStats>>,
-        capacity: usize,
-        workers: usize,
-    ) -> Vec<JoinHandle<()>> {
-        let mut handles = Vec::new();
-        let (tx_items, rx_items) = bounded::<(usize, WorkItem)>(capacity);
-
-        {
-            let stats = Arc::clone(stats);
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in items.enumerate() {
-                    stats.lock().submitted += 1;
-                    if tx_items.send((index, item)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-
-        for _ in 0..workers.max(1) {
-            let rx = rx_items.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let service = self.clone();
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in rx.iter() {
-                    let record = service.process_one(&item, &stats);
-                    if tx_done.send((index, record)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(rx_items);
-
-        handles
-    }
-
-    /// Synchronous per-case entry point for external schedulers (the
-    /// validation server's tenant-fair worker pool dispatches through
-    /// this): run every stage for one item on the calling thread, folding
-    /// provenance into `stats`.
+    /// Run every stage for one item on the calling thread, folding its
+    /// provenance into `stats` (everything but `submitted`, which the
+    /// caller counts). This is the per-case semantics both strategies
+    /// implement, and the synchronous entry point for external schedulers:
+    /// the validation server's tenant-fair worker pool dispatches through
+    /// it.
     ///
-    /// Semantics are identical to the streaming strategies — including the
-    /// record-store replay/persist layer — so by the strategy-parity and
-    /// replay laws the returned record is byte-identical to what
-    /// [`ValidationService::submit`] would have produced for the same item,
-    /// whatever thread or order an external scheduler picks.
-    pub fn process_case(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
-        self.process_one(item, stats)
-    }
-
-    /// Run every stage for one item (shared by the whole-file strategies);
-    /// semantics identical to the staged topology, including the store
-    /// layer's replay/persist behaviour.
-    fn process_one(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
+    /// The record-store replay/persist layer is included, so by the
+    /// strategy-parity and replay laws the returned record is
+    /// byte-identical to what [`ValidationService::submit`] yields for the
+    /// same item, whatever thread or order a scheduler picks.
+    pub fn process_case(&self, item: &WorkItem, stats: &mut PipelineStats) -> CaseRecord {
         if let Some(store) = &self.record_store {
             if let Some(record) = store.lookup(item) {
-                let mut s = stats.lock();
-                s.store_hits += 1;
-                s.observe_record(&record);
+                stats.store_hits += 1;
+                // Replay the stored stages into the aggregates, so
+                // hit-heavy runs report the same stage counters as cold
+                // ones.
+                stats.observe_record(&record);
                 return record;
             }
-            stats.lock().store_misses += 1;
+            stats.store_misses += 1;
         }
         let record = self.process_fresh(item, stats);
         if let Some(store) = &self.record_store {
@@ -836,7 +537,7 @@ impl ValidationService {
     }
 
     /// The three stages proper, bypassing the store layer.
-    fn process_fresh(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
+    fn process_fresh(&self, item: &WorkItem, stats: &mut PipelineStats) -> CaseRecord {
         let mode = self.config.mode;
         let CompileOutput {
             summary: compile,
@@ -844,17 +545,14 @@ impl ValidationService {
             signals,
             fetch,
         } = self.compile.compile(item);
-        {
-            let mut s = stats.lock();
-            s.compiled += 1;
-            if !compile.succeeded {
-                s.compile_failures += 1;
-            }
-            match fetch {
-                Some(vv_simcompiler::CompileFetch::Fresh) => s.compile_cache_misses += 1,
-                Some(_) => s.compile_cache_hits += 1,
-                None => {}
-            }
+        stats.compiled += 1;
+        if !compile.succeeded {
+            stats.compile_failures += 1;
+        }
+        match fetch {
+            Some(CompileFetch::Fresh) => stats.compile_cache_misses += 1,
+            Some(_) => stats.compile_cache_hits += 1,
+            None => {}
         }
         if !compile.succeeded && mode == PipelineMode::EarlyExit {
             return CaseRecord {
@@ -867,11 +565,10 @@ impl ValidationService {
         let exec = artifact
             .as_ref()
             .map(|program| self.exec.execute(item, program));
-        if exec.is_some() {
-            let mut s = stats.lock();
-            s.executed += 1;
-            if exec.as_ref().is_some_and(|e| !e.passed) {
-                s.exec_failures += 1;
+        if let Some(exec) = &exec {
+            stats.executed += 1;
+            if !exec.passed {
+                stats.exec_failures += 1;
             }
         }
         let exec_failed = exec.as_ref().is_none_or(|e| !e.passed);
@@ -886,13 +583,10 @@ impl ValidationService {
         let judgement = self
             .judge
             .judge(item, &compile, exec.as_ref(), signals.as_deref());
-        {
-            let mut s = stats.lock();
-            s.judged += 1;
-            s.observe_judge_latency_ms(judgement.latency_ms);
-            if !judgement.verdict_or_invalid().is_valid() {
-                s.judge_rejections += 1;
-            }
+        stats.judged += 1;
+        stats.observe_judge_latency_ms(judgement.latency_ms);
+        if !judgement.verdict_or_invalid().is_valid() {
+            stats.judge_rejections += 1;
         }
         CaseRecord {
             id: item.id.clone(),
@@ -905,18 +599,21 @@ impl ValidationService {
 
 /// Streaming result iterator returned by [`ValidationService::submit`].
 ///
-/// Yields each [`CaseRecord`] as it completes (completion order, not
-/// submission order). After the iterator is exhausted, [`RecordStream::stats`]
-/// reports the final aggregate statistics. Dropping the stream early cancels
-/// the remaining work: the worker threads observe the closed channel and
-/// exit, and the unprocessed tail of the input iterator is never pulled.
+/// Yields one [`CaseRecord`] per submitted item, **in submission order**,
+/// under either [`ExecutionStrategy`]: the sequential worker processes
+/// items in order, and the pipelined executor releases completed records
+/// through a reorder buffer. After the iterator is exhausted,
+/// [`RecordStream::stats`] reports the final aggregate statistics.
+/// Dropping the stream early cancels the remaining work: the worker
+/// threads observe the closed channel and exit, and the unprocessed tail
+/// of the input iterator is never pulled.
 ///
 /// A panic inside a backend is not lost: it is captured when the worker is
 /// reaped and resumed on the consuming thread (from `next()` returning
 /// `None`, from [`RecordStream::into_run`], or from `drop`), matching the
 /// propagation behaviour of the scoped-thread runners this replaces.
 pub struct RecordStream {
-    rx: Option<Receiver<(usize, CaseRecord)>>,
+    rx: Option<Receiver<CaseRecord>>,
     stats: Arc<Mutex<PipelineStats>>,
     handles: Vec<JoinHandle<()>>,
     started: Instant,
@@ -931,34 +628,29 @@ impl RecordStream {
     /// `submit` was called, latched at completion once the stream is
     /// exhausted (so the snapshot is final and stable from then on).
     ///
-    /// Under [`ExecutionStrategy::Pipelined`] the per-case counters live
-    /// in worker-private accumulators merged when each worker retires (no
-    /// shared mutable state on the case path), so mid-run snapshots lag
-    /// behind the records already yielded; the post-completion snapshot is
-    /// exact for every strategy.
+    /// The per-case counters live in worker-private accumulators merged
+    /// when each worker retires (no shared mutable state on the case
+    /// path), so mid-run snapshots lag behind the records already yielded;
+    /// the post-completion snapshot is exact under either strategy.
     pub fn stats(&self) -> PipelineStats {
         let mut stats = self.stats.lock().clone();
         stats.wall_time = self.finished.unwrap_or_else(|| self.started.elapsed());
         stats
     }
 
-    /// Drain the stream into a [`PipelineRun`] with records restored to
-    /// submission order.
+    /// Drain the stream into a [`PipelineRun`] (records in submission
+    /// order, as the stream yields them).
     ///
     /// Records already consumed through `next()` cannot be recovered: the
     /// run contains only the *remaining* records, while the statistics
     /// still count every processed file. Call this before iterating (as
     /// [`ValidationService::run`] does) to get the complete batch.
     pub fn into_run(mut self) -> PipelineRun {
-        let mut indexed: Vec<(usize, CaseRecord)> = Vec::new();
-        if let Some(rx) = self.rx.take() {
-            for entry in rx.iter() {
-                indexed.push(entry);
-            }
-        }
+        let records = match self.rx.take() {
+            Some(rx) => rx.iter().collect(),
+            None => Vec::new(),
+        };
         self.finish();
-        indexed.sort_by_key(|(index, _)| *index);
-        let records = indexed.into_iter().map(|(_, record)| record).collect();
         PipelineRun::new(records, self.stats())
     }
 
@@ -991,7 +683,7 @@ impl Iterator for RecordStream {
 
     fn next(&mut self) -> Option<CaseRecord> {
         match self.rx.as_ref()?.recv() {
-            Ok((_, record)) => Some(record),
+            Ok(record) => Some(record),
             Err(_) => {
                 // All workers have dropped their senders; reap the threads
                 // so `stats()` is final (and any backend panic surfaces)

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! vv-server serve --addr 127.0.0.1:7411 [--store DIR] [--workers N]
-//!                 [--strategy staged|sequential|batch|pipelined[:N]]
 //!                 [--queue N] [--inflight N]
 //! vv-server submit --addr HOST:PORT --tenant NAME [--size N]
 //!                  [--model acc|omp] [--seed N] [--mutated F]
@@ -12,14 +11,16 @@
 //!
 //! `serve` blocks until a client sends `SHUTDOWN`. `submit` generates a
 //! probed corpus locally (same generator as the in-process campaigns),
-//! streams it through the daemon and prints the job's statistics. Exit
-//! status: 0 on success, 1 on runtime failure, 2 on usage errors.
+//! streams it through the daemon and prints the job's statistics. Each
+//! subcommand accepts only its own flags; anything else (a typo, a flag
+//! of another subcommand) is a usage error. Exit status: 0 on success,
+//! 1 on runtime failure, 2 on usage errors.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use vv_dclang::DirectiveModel;
-use vv_pipeline::{ExecutionStrategy, WorkItem};
+use vv_pipeline::WorkItem;
 use vv_probing::{CorpusSpec, ProbeConfig};
 use vv_server::{Client, JobSpec, Server, ServerConfig};
 
@@ -41,7 +42,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vv-server serve --addr HOST:PORT [--store DIR] [--workers N] \
-         [--strategy staged|sequential|batch|pipelined[:N]] [--queue N] [--inflight N]\n       \
+         [--queue N] [--inflight N]\n       \
          vv-server submit --addr HOST:PORT --tenant NAME [--size N] \
          [--model acc|omp] [--seed N] [--mutated F]\n       \
          vv-server stats --addr HOST:PORT\n       \
@@ -50,12 +51,21 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Split `args` into `--flag value` pairs.
-fn flag_pairs(args: &[String]) -> Option<Vec<(&str, &str)>> {
+const SERVE_FLAGS: &[&str] = &["addr", "store", "workers", "queue", "inflight"];
+const SUBMIT_FLAGS: &[&str] = &["addr", "tenant", "size", "model", "seed", "mutated"];
+const ADDR_FLAGS: &[&str] = &["addr"];
+
+/// Split `args` into `--flag value` pairs; `None` (a usage error) when a
+/// flag lacks its value or is not in `allowed`.
+fn flag_pairs<'a>(args: &'a [String], allowed: &[&str]) -> Option<Vec<(&'a str, &'a str)>> {
     let mut pairs = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let flag = flag.strip_prefix("--")?;
+        if !allowed.contains(&flag) {
+            eprintln!("vv-server: unknown flag --{flag}");
+            return None;
+        }
         let value = it.next()?;
         pairs.push((flag, value.as_str()));
     }
@@ -69,23 +79,8 @@ fn find<'a>(pairs: &[(&str, &'a str)], flag: &str) -> Option<&'a str> {
         .map(|(_, value)| *value)
 }
 
-/// Parse a `--strategy` value: a bare name, or `pipelined:N` to pin the
-/// worker count (`pipelined` alone auto-sizes to the core count).
-fn parse_strategy(value: &str) -> Option<ExecutionStrategy> {
-    match value {
-        "staged" => Some(ExecutionStrategy::Staged),
-        "sequential" => Some(ExecutionStrategy::Sequential),
-        "batch" => Some(ExecutionStrategy::RayonBatch),
-        "pipelined" => Some(ExecutionStrategy::Pipelined { workers: 0 }),
-        _ => {
-            let workers = value.strip_prefix("pipelined:")?.parse().ok()?;
-            Some(ExecutionStrategy::Pipelined { workers })
-        }
-    }
-}
-
 fn serve(args: &[String]) -> ExitCode {
-    let Some(pairs) = flag_pairs(args) else {
+    let Some(pairs) = flag_pairs(args, SERVE_FLAGS) else {
         return usage();
     };
     let Some(addr) = find(&pairs, "addr") else {
@@ -94,12 +89,6 @@ fn serve(args: &[String]) -> ExitCode {
     let mut config = ServerConfig::default();
     if let Some(dir) = find(&pairs, "store") {
         config.store_dir = Some(dir.into());
-    }
-    if let Some(value) = find(&pairs, "strategy") {
-        match parse_strategy(value) {
-            Some(strategy) => config.strategy = strategy,
-            None => return usage(),
-        }
     }
     for (flag, slot) in [
         ("workers", &mut config.workers as &mut usize),
@@ -130,7 +119,7 @@ fn serve(args: &[String]) -> ExitCode {
 }
 
 fn submit(args: &[String]) -> ExitCode {
-    let Some(pairs) = flag_pairs(args) else {
+    let Some(pairs) = flag_pairs(args, SUBMIT_FLAGS) else {
         return usage();
     };
     let (Some(addr), Some(tenant)) = (find(&pairs, "addr"), find(&pairs, "tenant")) else {
@@ -186,7 +175,7 @@ fn submit(args: &[String]) -> ExitCode {
 }
 
 fn stats(args: &[String]) -> ExitCode {
-    let Some(pairs) = flag_pairs(args) else {
+    let Some(pairs) = flag_pairs(args, ADDR_FLAGS) else {
         return usage();
     };
     let Some(addr) = find(&pairs, "addr") else {
@@ -201,7 +190,7 @@ fn stats(args: &[String]) -> ExitCode {
 }
 
 fn shutdown(args: &[String]) -> ExitCode {
-    let Some(pairs) = flag_pairs(args) else {
+    let Some(pairs) = flag_pairs(args, ADDR_FLAGS) else {
         return usage();
     };
     let Some(addr) = find(&pairs, "addr") else {
@@ -222,5 +211,48 @@ fn finish(result: Result<(), vv_server::ClientError>) -> ExitCode {
             eprintln!("vv-server: {err}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|arg| arg.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_outside_the_subcommands_set_are_rejected() {
+        let serve = args(&["--addr", "127.0.0.1:0", "--workers", "8", "--queue", "4"]);
+        assert_eq!(flag_pairs(&serve, SERVE_FLAGS).map(|p| p.len()), Some(3));
+        for bad in [
+            args(&["--addr", "127.0.0.1:0", "--strategy", "staged"]),
+            args(&["--addr", "127.0.0.1:0", "--worker", "8"]),
+            args(&["--addr", "127.0.0.1:0", "--tenant", "t"]),
+            args(&["--addr"]),
+            args(&["addr", "127.0.0.1:0"]),
+        ] {
+            assert!(flag_pairs(&bad, SERVE_FLAGS).is_none(), "{bad:?}");
+        }
+        assert!(flag_pairs(&args(&["--addr", "h:1", "--size", "9"]), ADDR_FLAGS).is_none());
+    }
+
+    #[test]
+    fn every_subcommand_answers_an_unknown_flag_with_usage() {
+        let usage_error = ExitCode::from(2);
+        let bad = |extra: &[&str]| {
+            let mut list = vec!["--addr", "127.0.0.1:9", "--tenant", "t"];
+            list.extend_from_slice(extra);
+            args(&list)
+        };
+        assert_eq!(serve(&bad(&[])), usage_error, "serve takes no --tenant");
+        assert_eq!(
+            serve(&args(&["--addr", "127.0.0.1:0", "--strategy", "staged"])),
+            usage_error
+        );
+        assert_eq!(submit(&bad(&["--worker", "8"])), usage_error);
+        assert_eq!(stats(&bad(&[])), usage_error);
+        assert_eq!(shutdown(&bad(&[])), usage_error);
     }
 }

@@ -64,13 +64,16 @@
 //! admission budget and one fairness slot.
 //!
 //! `OPEN_JOB` declares a campaign. `job` is a client-chosen id, unique
-//! per connection. The enum bytes are defined in [`protocol`]: `mode`
-//! (early-exit 0 / record-all 1), `style` (direct 0 / agent-direct 1 /
-//! agent-indirect 2) and `profile` (an id from the built-in judge
-//! calibration registry, [`protocol::ProfileId`]). A scheduling strategy
-//! is deliberately **not** part of the spec: scheduling belongs to the
-//! server (tenant-fair worker pool), and the pipeline's strategy-parity
-//! law makes records independent of it.
+//! among the connection's *open* jobs: once a job's `JOB_DONE` has been
+//! sent the server forgets it, and its id may be opened again. Reusing
+//! the id of a job that is still open is a protocol error. The enum bytes
+//! are defined in [`protocol`]: `mode` (early-exit 0 / record-all 1),
+//! `style` (direct 0 / agent-direct 1 / agent-indirect 2) and `profile`
+//! (an id from the built-in judge calibration registry,
+//! [`protocol::ProfileId`]). A scheduling strategy is deliberately **not**
+//! part of the spec: scheduling belongs to the server (tenant-fair worker
+//! pool, sized by `ServerConfig::workers`), and the pipeline's
+//! strategy-parity law makes records independent of it.
 //!
 //! `CASE` submits one work item under an open job; `seq` is the client's
 //! submission ordinal, echoed in the matching `RECORD` so the client can

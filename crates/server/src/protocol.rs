@@ -17,7 +17,9 @@ use vv_store::wire::{fnv1a, Reader, WireError, Writer};
 use crate::stats::ServerStats;
 
 /// Protocol revision; bumped on any wire-visible change.
-pub const PROTOCOL_VERSION: u32 = 1;
+///
+/// Version 2 dropped the `strategy` string from the `STATS_OK` snapshot.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on one frame's payload. Large enough for any realistic
 /// source file or stats snapshot, small enough that a corrupt length
@@ -342,7 +344,10 @@ pub enum Request {
     },
     /// Declare a campaign job.
     OpenJob {
-        /// Client-chosen id, unique per connection.
+        /// Client-chosen id, unique among the connection's open jobs. The
+        /// server forgets a job once its `JOB_DONE` is sent, so a finished
+        /// job's id may be opened again; reusing an open job's id is a
+        /// protocol error.
         job: u32,
         /// The pipeline configuration to validate under.
         spec: JobSpec,

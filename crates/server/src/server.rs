@@ -14,7 +14,8 @@
 //! * a fixed **worker pool** pulls cases round-robin across tenants and
 //!   runs [`ValidationService::process_case`], so per-case results are
 //!   byte-identical to a direct in-process run (strategy parity and
-//!   store-replay laws);
+//!   store-replay laws); the pooled services are used only through that
+//!   per-case path, so the daemon has no execution-strategy setting;
 //! * results stream back through a per-connection writer; a dead
 //!   connection cancels that client's jobs (queued cases purged,
 //!   in-flight results discarded) without touching other tenants;
@@ -33,7 +34,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use vv_pipeline::{encode_record, ExecutionStrategy, PipelineStats, ValidationService, WorkItem};
+use vv_pipeline::{encode_record, PipelineStats, ValidationService, WorkItem};
 use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
@@ -47,15 +48,10 @@ use crate::transport::{duplex, Conn, PipeEnd};
 /// Tuning knobs for a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Validation worker threads shared by all tenants.
+    /// Validation worker threads shared by all tenants. Each worker pulls
+    /// cases round-robin across tenants and runs them one at a time
+    /// through [`ValidationService::process_case`].
     pub workers: usize,
-    /// Scheduling strategy of the pooled [`ValidationService`]s. The
-    /// daemon's own per-case dispatch (tenant-fair round robin over the
-    /// worker pool) is strategy-independent — records are byte-identical
-    /// under every strategy by the parity laws — so this selects the
-    /// scheduling used for whole-stream submits through a pooled service
-    /// and is surfaced in `STATS` as deployment provenance.
-    pub strategy: ExecutionStrategy,
     /// Bounded queue depth per tenant (admission control).
     pub tenant_queue_capacity: usize,
     /// In-flight case budget per tenant (fairness bound).
@@ -70,7 +66,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            strategy: ExecutionStrategy::default(),
             tenant_queue_capacity: 256,
             max_in_flight_per_tenant: 64,
             store_dir: None,
@@ -298,7 +293,6 @@ impl ServerInner {
         Arc::clone(services.entry(spec.key()).or_insert_with(|| {
             let builder = ValidationService::builder()
                 .mode(spec.mode)
-                .strategy(self.config.strategy)
                 .judge_style(spec.style)
                 .judge_profile(spec.profile.profile())
                 .judge_seed(spec.judge_seed);
@@ -402,7 +396,6 @@ impl ServerInner {
             connections: self.connections.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::SeqCst),
             workers: self.config.workers.max(1) as u64,
-            strategy: self.config.strategy.label().to_string(),
             served: self.global.lock().clone(),
             compile_cache: CacheSnapshot {
                 hits: cache.hits,
@@ -429,7 +422,11 @@ fn worker_loop(inner: Arc<ServerInner>) {
     while let Some(case) = inner.scheduler.next_case() {
         let job = case.job;
         if !job.cancelled.load(Ordering::Acquire) {
-            let record = job.service.process_case(&case.item, &job.stats);
+            // Case-local stats, merged under one lock (exact under the
+            // accumulator-merge law).
+            let mut local = PipelineStats::default();
+            let record = job.service.process_case(&case.item, &mut local);
+            job.stats.lock().merge(&local);
             {
                 let mut global = inner.global.lock();
                 global.submitted += 1;
@@ -507,6 +504,8 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
         server: inner.config.name.clone(),
     });
 
+    // Open jobs by id. A finished job leaves on the next `OPEN_JOB`, so a
+    // long-lived connection holds only the jobs it still has open.
     let mut jobs: HashMap<u32, Arc<JobState>> = HashMap::new();
     let mut exit = ConnExit::Closed;
     while let Some(request) = read_request(&mut reader, &mut buf) {
@@ -520,6 +519,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
                     refuse(ErrorCode::Draining, "server is draining");
                     continue;
                 }
+                jobs.retain(|_, open| !open.done_sent.load(Ordering::Acquire));
                 if jobs.contains_key(&job) {
                     refuse(ErrorCode::Protocol, "job id reused");
                     break;

@@ -96,10 +96,6 @@ pub struct ServerStats {
     pub draining: bool,
     /// Validation worker threads in the daemon's pool.
     pub workers: u64,
-    /// The [`vv_pipeline::ExecutionStrategy`] label of the pooled
-    /// services (per-case records are identical under every strategy by
-    /// the parity laws; this reports the configured scheduling).
-    pub strategy: String,
     /// Merged statistics of every case ever served, across all tenants
     /// and jobs (cache/store provenance is tracked by the resident pools
     /// below, not per case).
@@ -120,7 +116,6 @@ impl ServerStats {
         w.put_u64(self.connections);
         w.put_u8(self.draining as u8);
         w.put_u64(self.workers);
-        w.put_str(&self.strategy);
         self.served.encode_into(w);
         w.put_u64(self.compile_cache.hits);
         w.put_u64(self.compile_cache.misses);
@@ -163,7 +158,6 @@ impl ServerStats {
             }
         };
         let workers = r.get_u64("stats workers")?;
-        let strategy = r.get_str("stats strategy")?.to_string();
         let served = PipelineStats::decode_from(r)?;
         let compile_cache = CacheSnapshot {
             hits: r.get_u64("stats cache hits")?,
@@ -204,7 +198,6 @@ impl ServerStats {
             connections,
             draining,
             workers,
-            strategy,
             served,
             compile_cache,
             store,
@@ -218,11 +211,10 @@ impl fmt::Display for ServerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "uptime {:.1}s | {} connection(s) | {} worker(s), {} | {}",
+            "uptime {:.1}s | {} connection(s) | {} worker(s) | {}",
             self.uptime_ms as f64 / 1000.0,
             self.connections,
             self.workers,
-            self.strategy,
             if self.draining { "draining" } else { "serving" }
         )?;
         writeln!(f, "served: {}", self.served)?;
@@ -289,7 +281,6 @@ mod tests {
             connections: 3,
             draining: true,
             workers: 4,
-            strategy: "pipelined".into(),
             served,
             compile_cache: CacheSnapshot {
                 hits: 410,
@@ -357,7 +348,7 @@ mod tests {
     fn display_mentions_the_headlines() {
         let shown = busy_snapshot().to_string();
         assert!(shown.contains("draining"), "{shown}");
-        assert!(shown.contains("4 worker(s), pipelined"), "{shown}");
+        assert!(shown.contains("4 worker(s) | draining"), "{shown}");
         assert!(shown.contains("compile cache"), "{shown}");
         assert!(shown.contains("acme"), "{shown}");
         assert!(shown.contains("zeta"), "{shown}");

@@ -23,8 +23,8 @@ fn main() {
     let matrix = ScenarioMatrix::new(size)
         .models(vec![DirectiveModel::OpenAcc, DirectiveModel::OpenMp])
         .strategies(vec![
-            ExecutionStrategy::Staged,
-            ExecutionStrategy::RayonBatch,
+            ExecutionStrategy::Pipelined { workers: 2 },
+            ExecutionStrategy::Sequential,
         ])
         .shards(2);
     println!(

@@ -37,7 +37,7 @@ fn main() {
         .unwrap_or(4_000);
     let matrix = ScenarioMatrix::new(size)
         .strategies(vec![
-            ExecutionStrategy::Staged,
+            ExecutionStrategy::Pipelined { workers: 2 },
             ExecutionStrategy::Sequential,
         ])
         .shards(2);

@@ -15,9 +15,9 @@
 //! ```
 //!
 //! The optional second argument selects the scheduling strategy
-//! (`staged` | `sequential` | `batch` | `pipelined[:N]`); every strategy
-//! produces identical records, so the counters printed here are
-//! strategy-independent by construction.
+//! (`sequential` | `pipelined[:N]`, default `pipelined` = one worker per
+//! core); both strategies produce identical records, so the counters
+//! printed here are strategy-independent by construction.
 
 use std::time::Instant;
 
@@ -28,9 +28,7 @@ use vv_probing::CorpusSpec;
 
 fn parse_strategy(arg: &str) -> Option<ExecutionStrategy> {
     match arg {
-        "staged" => Some(ExecutionStrategy::Staged),
         "sequential" => Some(ExecutionStrategy::Sequential),
-        "batch" => Some(ExecutionStrategy::RayonBatch),
         "pipelined" => Some(ExecutionStrategy::Pipelined { workers: 0 }),
         _ => {
             let workers = arg.strip_prefix("pipelined:")?.parse().ok()?;
@@ -48,14 +46,11 @@ fn main() {
         Some(arg) => match parse_strategy(&arg) {
             Some(strategy) => strategy,
             None => {
-                eprintln!(
-                    "unknown strategy {arg:?} (expected staged | sequential | batch | \
-                     pipelined[:N])"
-                );
+                eprintln!("unknown strategy {arg:?} (expected sequential | pipelined[:N])");
                 std::process::exit(2);
             }
         },
-        None => ExecutionStrategy::Staged,
+        None => ExecutionStrategy::default(),
     };
 
     let spec = CorpusSpec::new(DirectiveModel::OpenAcc)
@@ -65,7 +60,6 @@ fn main() {
     println!("source : {}", spec.describe());
 
     let service = ValidationService::builder()
-        .workers(4, 4, 2)
         .channel_capacity(64)
         .strategy(strategy)
         .build();
@@ -76,8 +70,8 @@ fn main() {
     let mut accepted = 0usize;
     let mut rejected = 0usize;
     for record in &mut stream {
-        // Records are consumed (and dropped) as they complete — nothing
-        // accumulates on this side either.
+        // Records are consumed (and dropped) in submission order as they
+        // complete — nothing accumulates on this side either.
         match record.pipeline_verdict() {
             Verdict::Valid => accepted += 1,
             Verdict::Invalid => rejected += 1,
@@ -105,7 +99,7 @@ fn main() {
     );
     assert_eq!(accepted + rejected, size);
     println!(
-        "peak in-flight cases bounded by the channel capacity ({}) per stage — the {size}-file suite never existed in memory.",
+        "in-flight cases bounded by max(channel capacity {}, 2 x workers) — the {size}-file suite never existed in memory.",
         service.config().channel_capacity
     );
 }

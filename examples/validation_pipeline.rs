@@ -1,8 +1,10 @@
 //! Validation-service throughput demo: run the same probed OpenACC suite
-//! through all four execution strategies of the `ValidationService`
-//! (early-exit and record-all), compare wall time, judge-stage savings and
-//! verdict agreement, then stream a corpus source through `submit_source`
-//! to show records arriving as the suite is generated on the fly.
+//! through both execution strategies of the `ValidationService` (the
+//! sequential reference and the pipelined executor at 1, 2 and all
+//! cores; early-exit and record-all), compare wall time, judge-stage
+//! savings and record agreement, then stream a corpus source through
+//! `submit_source` to show records arriving as the suite is generated on
+//! the fly.
 //!
 //! ```text
 //! cargo run --release --example validation_pipeline
@@ -38,41 +40,39 @@ fn main() {
 
     // One service per (strategy, mode) combination — a single entry point,
     // `run`, regardless of scheduling.
-    let staged = ValidationService::builder().build().run(items.clone());
-    let staged_all = ValidationService::builder()
-        .mode(PipelineMode::RecordAll)
-        .build()
-        .run(items.clone());
-    let sequential = ValidationService::builder()
-        .strategy(ExecutionStrategy::Sequential)
-        .build()
-        .run(items.clone());
-    let batch = ValidationService::builder()
-        .strategy(ExecutionStrategy::RayonBatch)
-        .build()
-        .run(items.clone());
-    let pipelined = ValidationService::builder()
-        .strategy(ExecutionStrategy::Pipelined { workers: 0 })
-        .build()
-        .run(items.clone());
+    let run = |strategy: ExecutionStrategy, mode: PipelineMode| {
+        ValidationService::builder()
+            .strategy(strategy)
+            .mode(mode)
+            .build()
+            .run(items.clone())
+    };
+    let sequential = run(ExecutionStrategy::Sequential, PipelineMode::EarlyExit);
+    let pipelined_1 = run(
+        ExecutionStrategy::Pipelined { workers: 1 },
+        PipelineMode::EarlyExit,
+    );
+    let pipelined_2 = run(
+        ExecutionStrategy::Pipelined { workers: 2 },
+        PipelineMode::EarlyExit,
+    );
+    let pipelined = run(ExecutionStrategy::default(), PipelineMode::EarlyExit);
+    let pipelined_all = run(ExecutionStrategy::default(), PipelineMode::RecordAll);
 
-    let agreement = staged
-        .records
+    let agreement = [&pipelined_1, &pipelined_2, &pipelined]
         .iter()
-        .zip(&sequential.records)
-        .filter(|(a, b)| a.pipeline_verdict() == b.pipeline_verdict())
-        .count();
+        .all(|run| run.records == sequential.records);
 
     println!(
         "{:<28} {:>10} {:>10} {:>12} {:>16}",
         "strategy", "wall (ms)", "judged", "savings", "sim. GPU (ms)"
     );
     for (name, run) in [
-        ("staged, early-exit", &staged),
-        ("staged, record-all", &staged_all),
         ("sequential, early-exit", &sequential),
-        ("batch par., early-exit", &batch),
+        ("pipelined:1, early-exit", &pipelined_1),
+        ("pipelined:2, early-exit", &pipelined_2),
         ("pipelined, early-exit", &pipelined),
+        ("pipelined, record-all", &pipelined_all),
     ] {
         println!(
             "{:<28} {:>10.1} {:>10} {:>11.0}% {:>16.0}",
@@ -84,12 +84,12 @@ fn main() {
         );
     }
     println!(
-        "\nverdict agreement between staged and sequential strategies: {agreement}/{} files",
-        staged.records.len()
+        "\nevery pipelined run's records byte-identical to the sequential reference: {agreement}"
     );
+    assert!(agreement, "strategy parity violated");
     println!(
         "early-exit spared the (simulated 33B-parameter) judge {:.0}% of the files that record-all would have sent to the GPU.",
-        (1.0 - staged.stats.judged as f64 / staged_all.stats.judged.max(1) as f64) * 100.0
+        (1.0 - pipelined.stats.judged as f64 / pipelined_all.stats.judged.max(1) as f64) * 100.0
     );
 
     // Streaming: `submit_source` drains the corpus pipeline lazily through
@@ -97,7 +97,7 @@ fn main() {
     // and the suite is never materialized.
     let streaming_spec = spec(40);
     println!(
-        "\nstreaming through submit_source (first 5 completions)\n  source: {}",
+        "\nstreaming through submit_source (first 5 records)\n  source: {}",
         streaming_spec.describe()
     );
     let service = ValidationService::builder().channel_capacity(4).build();
@@ -114,5 +114,5 @@ fn main() {
         }
         completed += 1;
     }
-    println!("  ... {completed} records streamed in completion order");
+    println!("  ... {completed} records streamed in submission order");
 }

@@ -14,7 +14,7 @@ use vv_corpus::{CaseSource, GeneratedCase, TemplateSource};
 use vv_dclang::DirectiveModel;
 use vv_judge::Verdict;
 use vv_metrics::{overall, per_issue, radar_series, EvaluationRecord};
-use vv_pipeline::{ValidationService, WorkItem};
+use vv_pipeline::{ExecutionStrategy, ValidationService, WorkItem};
 use vv_probing::{CorpusSpec, IssueKind};
 
 fn probed_cases(model: DirectiveModel, size: usize, seed: u64) -> Vec<GeneratedCase> {
@@ -128,34 +128,34 @@ fn probing_always_splits_at_the_requested_fraction() {
 }
 
 #[test]
-fn staged_pipeline_equals_sequential_for_any_worker_shape() {
-    // Sweep over models, seeds and worker configurations; the staged
-    // multi-worker service and the sequential baseline must always agree on
-    // every verdict and on how far every file progressed.
-    let shapes = [(1usize, 1usize), (2, 3), (4, 1), (3, 2)];
+fn pipelined_equals_sequential_for_any_worker_count() {
+    // Sweep over models, seeds and worker counts; the pipelined
+    // work-stealing service and the sequential reference must always agree
+    // on every verdict and on how far every file progressed.
+    let worker_counts = [1usize, 2, 3, 5];
     let seeds = [0u64, 59, 131, 197];
     for model in MODELS {
-        for (seed, (compile_workers, judge_workers)) in seeds.into_iter().zip(shapes) {
-            run_parity_case(model, seed, compile_workers, judge_workers);
+        for (seed, workers) in seeds.into_iter().zip(worker_counts) {
+            run_parity_case(model, seed, workers);
         }
     }
 }
 
-fn run_parity_case(model: DirectiveModel, seed: u64, compile_workers: usize, judge_workers: usize) {
+fn run_parity_case(model: DirectiveModel, seed: u64, workers: usize) {
     let items: Vec<WorkItem> = probed_cases(model, 14, seed)
         .into_iter()
         .map(WorkItem::from)
         .collect();
-    let staged = ValidationService::builder()
-        .workers(compile_workers, 2, judge_workers)
+    let pipelined = ValidationService::builder()
+        .strategy(ExecutionStrategy::Pipelined { workers })
         .build()
         .run(items.clone());
     let sequential = ValidationService::builder()
-        .strategy(vv_pipeline::ExecutionStrategy::Sequential)
+        .strategy(ExecutionStrategy::Sequential)
         .build()
         .run(items);
-    assert_eq!(staged.records.len(), sequential.records.len());
-    for (a, b) in staged.records.iter().zip(&sequential.records) {
+    assert_eq!(pipelined.records.len(), sequential.records.len());
+    for (a, b) in pipelined.records.iter().zip(&sequential.records) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.pipeline_verdict(), b.pipeline_verdict());
         assert_eq!(a.stage_reached(), b.stage_reached());

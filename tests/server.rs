@@ -19,7 +19,9 @@
 //!    seals the store: the directory fscks clean, the lockfile is
 //!    released, and a foreign live lock is refused at startup;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
-//!    the right tenant.
+//!    the right tenant;
+//! 7. **Job ids** — a connection holds only its open jobs: a finished
+//!    job's id may be opened again, an open job's id may not.
 //!
 //! Sizes scale with the profile (same idiom as `tests/end_to_end.rs`):
 //! debug runs stay tier-1 fast, release runs soak harder.
@@ -28,7 +30,7 @@ use std::path::PathBuf;
 
 use llm4vv::incremental::stage_stats;
 use vv_dclang::DirectiveModel;
-use vv_pipeline::{encode_record, PipelineRun, ValidationService, WorkItem};
+use vv_pipeline::{encode_record, ExecutionStrategy, PipelineRun, ValidationService, WorkItem};
 use vv_probing::{CorpusSpec, ProbeConfig};
 use vv_server::{Client, JobSpec, Server, ServerConfig};
 use vv_store::{check, StoreError};
@@ -64,11 +66,12 @@ fn corpus(model: DirectiveModel, seed: u64, size: usize) -> Vec<WorkItem> {
     items
 }
 
-/// The in-process service equivalent of the daemon's pooled service for
-/// `spec` (fresh compile cache; provenance counters are excluded from
+/// The in-process `Sequential` reference for the daemon's pooled service
+/// for `spec` (fresh compile cache; provenance counters are excluded from
 /// the stats comparison anyway).
 fn direct_service(spec: &JobSpec) -> ValidationService {
     ValidationService::builder()
+        .strategy(ExecutionStrategy::Sequential)
         .mode(spec.mode)
         .judge_style(spec.style)
         .judge_profile(spec.profile.profile())
@@ -313,6 +316,88 @@ fn garbage_and_torn_frames_close_the_connection_without_wedging_the_server() {
     assert_eq!(run.records.len(), size);
 
     drop(client);
+    server.handle().shutdown();
+    server.join();
+}
+
+#[test]
+fn a_finished_job_id_may_be_reused_but_an_open_one_may_not() {
+    use vv_server::protocol::{
+        read_frame, write_frame, ErrorCode, Request, Response, PROTOCOL_VERSION,
+    };
+    use vv_server::PipeEnd;
+
+    fn send(conn: &mut PipeEnd, request: &Request) {
+        write_frame(conn, &request.encode()).expect("write frame");
+    }
+    fn recv(conn: &mut PipeEnd) -> Response {
+        let mut buf = Vec::new();
+        assert!(
+            read_frame(conn, &mut buf).expect("read frame"),
+            "server hung up"
+        );
+        Response::decode(&buf).expect("decode response")
+    }
+
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let mut conn = server.connect();
+    send(
+        &mut conn,
+        &Request::Hello {
+            protocol: PROTOCOL_VERSION,
+            tenant: "reuse".into(),
+        },
+    );
+    assert!(matches!(recv(&mut conn), Response::HelloOk { .. }));
+
+    // The same id, opened again after its JOB_DONE: the server has
+    // forgotten the finished job, so the second round is served too.
+    let item = corpus(DirectiveModel::OpenAcc, 0x2E05E, 1).remove(0);
+    let mut records = Vec::new();
+    for _ in 0..2 {
+        let open = Request::OpenJob {
+            job: 7,
+            spec: JobSpec::default(),
+        };
+        send(&mut conn, &open);
+        let case = Request::Case {
+            job: 7,
+            seq: 0,
+            item: item.clone(),
+        };
+        send(&mut conn, &case);
+        send(&mut conn, &Request::FinishJob { job: 7 });
+        match recv(&mut conn) {
+            Response::Record {
+                job: 7,
+                seq: 0,
+                record,
+            } => records.push(record),
+            other => panic!("expected the job's RECORD, got {other:?}"),
+        }
+        match recv(&mut conn) {
+            Response::JobDone { job: 7, stats } => assert_eq!(stats.submitted, 1),
+            other => panic!("expected JOB_DONE, got {other:?}"),
+        }
+    }
+    assert_eq!(records[0], records[1]);
+
+    // Reusing the id of a job that is still open stays a protocol error.
+    let open = Request::OpenJob {
+        job: 8,
+        spec: JobSpec::default(),
+    };
+    send(&mut conn, &open);
+    send(&mut conn, &open);
+    match recv(&mut conn) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Protocol);
+            assert_eq!(message, "job id reused");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+
+    drop(conn);
     server.handle().shutdown();
     server.join();
 }

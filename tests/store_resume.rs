@@ -49,7 +49,7 @@ fn campaign_matrix() -> ScenarioMatrix {
     let size = if cfg!(debug_assertions) { 60 } else { 2_000 };
     ScenarioMatrix::new(size)
         .strategies(vec![
-            ExecutionStrategy::Staged,
+            ExecutionStrategy::Pipelined { workers: 2 },
             ExecutionStrategy::Sequential,
         ])
         .shards(2)

@@ -1,11 +1,12 @@
-//! Runner-parity determinism tests: the `Staged`, `Sequential` and
-//! `RayonBatch` strategies of the `ValidationService` must produce
+//! Strategy-parity determinism tests: the pipelined executor of the
+//! `ValidationService`, at every worker count, must produce
 //! **byte-identical** `CaseRecord`s — same verdicts, same summaries, same
-//! judge prompts and responses — for the same seeds and inputs, in both
-//! `EarlyExit` and `RecordAll` modes. This is the contract that lets the
-//! ablation benchmarks compare scheduling strategies without re-validating
-//! semantics, and it is asserted here over full record equality
-//! (`CaseRecord: PartialEq` covers every captured field).
+//! judge prompts and responses — to the `Sequential` reference for the
+//! same seeds and inputs, in both `EarlyExit` and `RecordAll` modes, and
+//! both strategies must stream them in submission order. This is the
+//! contract that lets the benchmarks vary the worker count without
+//! re-validating semantics, and it is asserted here over full record
+//! equality (`CaseRecord: PartialEq` covers every captured field).
 
 use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
@@ -30,11 +31,15 @@ fn probed_items(model: DirectiveModel, size: usize, seed: u64) -> Vec<WorkItem> 
         .collect()
 }
 
+/// The candidates checked against the `Sequential` reference.
+const PIPELINED: [ExecutionStrategy; 3] = [
+    ExecutionStrategy::Pipelined { workers: 1 },
+    ExecutionStrategy::Pipelined { workers: 2 },
+    ExecutionStrategy::Pipelined { workers: 4 },
+];
+
 fn builder(mode: PipelineMode, strategy: ExecutionStrategy) -> ValidationServiceBuilder {
-    ValidationService::builder()
-        .mode(mode)
-        .strategy(strategy)
-        .workers(3, 2, 2)
+    ValidationService::builder().mode(mode).strategy(strategy)
 }
 
 fn records_for(
@@ -50,13 +55,13 @@ fn strategies_produce_byte_identical_records_in_both_modes() {
     for model in [DirectiveModel::OpenAcc, DirectiveModel::OpenMp] {
         let items = probed_items(model, 36, 4711);
         for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
-            let reference = records_for(mode, ExecutionStrategy::Staged, &items);
+            let reference = records_for(mode, ExecutionStrategy::Sequential, &items);
             assert_eq!(reference.len(), items.len());
-            for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::RayonBatch] {
+            for strategy in PIPELINED {
                 let candidate = records_for(mode, strategy, &items);
                 assert_eq!(
                     reference, candidate,
-                    "{model} {mode:?}: {strategy:?} diverged from Staged"
+                    "{model} {mode:?}: {strategy:?} diverged from Sequential"
                 );
             }
         }
@@ -71,11 +76,11 @@ fn strategies_produce_byte_identical_records_through_submit_source() {
     // equal the records of the materialized item path.
     let spec = probed_spec(DirectiveModel::OpenAcc, 32, 9182);
     for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
-        let via_items = builder(mode, ExecutionStrategy::Staged)
+        let via_items = builder(mode, ExecutionStrategy::Sequential)
             .build()
             .run(probed_items(DirectiveModel::OpenAcc, 32, 9182))
             .records;
-        for strategy in ExecutionStrategy::ALL {
+        for strategy in std::iter::once(ExecutionStrategy::Sequential).chain(PIPELINED) {
             let streamed = builder(mode, strategy)
                 .build()
                 .run_source(spec.source())
@@ -91,7 +96,7 @@ fn strategies_produce_byte_identical_records_through_submit_source() {
 #[test]
 fn reruns_are_deterministic_per_strategy() {
     let items = probed_items(DirectiveModel::OpenAcc, 24, 99);
-    for strategy in ExecutionStrategy::ALL {
+    for strategy in std::iter::once(ExecutionStrategy::Sequential).chain(PIPELINED) {
         let first = records_for(PipelineMode::RecordAll, strategy, &items);
         let second = records_for(PipelineMode::RecordAll, strategy, &items);
         assert_eq!(
@@ -110,9 +115,9 @@ fn streaming_submit_matches_the_batch_run() {
 
     let batch = service.run(items.clone());
 
-    // submit() yields in completion order; re-keying by id must reproduce
-    // exactly the batch records, and the final stream stats must agree on
-    // every counter (wall time differs by construction).
+    // submit() yields in submission order, so the streamed records must
+    // be exactly the batch records, and the final stream stats must agree
+    // on every counter (wall time differs by construction).
     let mut stream = service.submit(items.clone());
     let mut streamed: Vec<CaseRecord> = Vec::new();
     for record in &mut stream {
@@ -123,41 +128,57 @@ fn streaming_submit_matches_the_batch_run() {
     assert_eq!(stream_stats.submitted, batch.stats.submitted);
     assert_eq!(stream_stats.judged, batch.stats.judged);
     assert_eq!(stream_stats.compile_failures, batch.stats.compile_failures);
+    assert_eq!(streamed, batch.records);
+}
 
-    streamed.sort_by(|a, b| a.id.cmp(&b.id));
-    let mut expected = batch.records.clone();
-    expected.sort_by(|a, b| a.id.cmp(&b.id));
-    assert_eq!(streamed, expected);
+#[test]
+fn both_strategies_stream_in_submission_order() {
+    // `RecordStream` guarantees submission order under either strategy,
+    // through a one-slot channel and with early exits mixed in (cases
+    // leaving at different stages finish out of order in the pipelined
+    // executor, so its reorder buffer is exercised).
+    let items = probed_items(DirectiveModel::OpenAcc, 40, 777);
+    let ids: Vec<String> = items.iter().map(|item| item.id.clone()).collect();
+    for strategy in std::iter::once(ExecutionStrategy::Sequential).chain(PIPELINED) {
+        let streamed: Vec<String> = builder(PipelineMode::EarlyExit, strategy)
+            .channel_capacity(1)
+            .build()
+            .submit(items.clone())
+            .map(|record| record.id)
+            .collect();
+        assert_eq!(streamed, ids, "{strategy:?} broke submission order");
+    }
 }
 
 #[test]
 fn streaming_handles_lazily_generated_unbounded_style_input() {
-    // The iterator is consumed lazily through the bounded channels: feed a
+    // The iterator is consumed lazily under either strategy: feed a
     // generator that would be wasteful to materialize, stop consuming after
     // a prefix, and drop the stream — the tail must never be produced.
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     let items = probed_items(DirectiveModel::OpenAcc, 200, 31);
-    let pulled = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&pulled);
-    let lazy = items.into_iter().inspect(move |_| {
-        counter.fetch_add(1, Ordering::SeqCst);
-    });
+    for strategy in ExecutionStrategy::ALL {
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&pulled);
+        let lazy = items.clone().into_iter().inspect(move |_| {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
 
-    let service = ValidationService::builder()
-        .channel_capacity(2)
-        .workers(1, 1, 1)
-        .build();
-    let mut stream = service.submit(lazy);
-    for _ in 0..5 {
-        assert!(stream.next().is_some());
+        let service = builder(PipelineMode::EarlyExit, strategy)
+            .channel_capacity(2)
+            .build();
+        let mut stream = service.submit(lazy);
+        for _ in 0..5 {
+            assert!(stream.next().is_some());
+        }
+        drop(stream);
+
+        let consumed = pulled.load(Ordering::SeqCst);
+        assert!(
+            consumed < 200,
+            "{strategy:?}: lazy input was fully materialized ({consumed}/200 items pulled)"
+        );
     }
-    drop(stream);
-
-    let consumed = pulled.load(Ordering::SeqCst);
-    assert!(
-        consumed < 200,
-        "lazy input was fully materialized ({consumed}/200 items pulled)"
-    );
 }
