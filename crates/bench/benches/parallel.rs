@@ -1,4 +1,4 @@
-//! Core-count scaling of the pipelined work-stealing executor
+//! Core-count scaling of the pipelined multi-worker executor
 //! (`ExecutionStrategy::Pipelined`), written to `BENCH_PR8.json` at the
 //! repo root.
 //!
@@ -138,7 +138,7 @@ fn write_bench_point() {
     let _ = writeln!(json, "  \"pr\": 8,");
     let _ = writeln!(
         json,
-        "  \"bench\": \"pipelined work-stealing executor worker sweep ({size} cases, \
+        "  \"bench\": \"pipelined multi-worker executor worker sweep ({size} cases, \
          RecordAll, half-mutated corpus; paced = judge latency realized at {PACING} \
          wall-clock scale, modelling a remote judge)\","
     );

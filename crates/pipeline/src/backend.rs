@@ -54,7 +54,7 @@ pub struct CompileOutput {
 /// The compile stage: source text in, diagnostics and artifact out.
 ///
 /// Implementations must be thread-safe — the service calls them from
-/// multiple stage workers concurrently.
+/// multiple executor workers concurrently.
 pub trait CompileBackend: Send + Sync {
     /// Compile one work item.
     fn compile(&self, item: &WorkItem) -> CompileOutput;
@@ -142,7 +142,11 @@ pub struct SimCompileBackend {
 /// Sessions whose interner grew past this many distinct spellings are
 /// retired instead of returned to the pool (pathological corpora with
 /// unbounded fresh identifiers would otherwise grow the table forever).
-pub(crate) const MAX_SESSION_SYMBOLS: usize = 1 << 20;
+const MAX_SESSION_SYMBOLS: usize = 1 << 20;
+
+fn oversized(session: &CompileSession) -> bool {
+    session.interner().len() > MAX_SESSION_SYMBOLS
+}
 
 impl Default for SimCompileBackend {
     /// Caching backend with the default cache capacity.
@@ -192,11 +196,11 @@ impl SimCompileBackend {
     }
 
     /// Check a session for `model` out of the pool (building a fresh one
-    /// when the pool is empty). Long-lived compile workers lease a session
-    /// once and drive it through [`SimCompileBackend::compile_with`] for
-    /// their whole run instead of checking in and out per item — the
-    /// pipelined executor's compile workers keep one leased session per
-    /// model, so the per-case path never touches the pool lock. Pair with
+    /// when the pool is empty). Long-lived workers lease a session once
+    /// and drive it through [`SimCompileBackend::compile_with`] for their
+    /// whole run instead of checking in and out per item — every executor
+    /// thread keeps one leased session per model, so the per-case path
+    /// never touches the pool lock. Pair with
     /// [`SimCompileBackend::return_session`] when the worker retires.
     pub fn take_session(&self, model: DirectiveModel) -> CompileSession {
         let mut pools = self
@@ -219,7 +223,7 @@ impl SimCompileBackend {
     /// warmed up serve the next lease. Oversized sessions are retired
     /// instead.
     pub fn return_session(&self, model: DirectiveModel, session: CompileSession) {
-        if session.interner().len() > MAX_SESSION_SYMBOLS {
+        if oversized(&session) {
             return; // retire it; a fresh one is built on demand
         }
         let mut pools = self
@@ -256,12 +260,49 @@ impl SimCompileBackend {
     }
 }
 
+/// The compile sessions one thread holds checked out of a
+/// [`SimCompileBackend`]'s pool, at most one per directive model, so a run
+/// of compiles never touches the pool lock. An oversized session is
+/// retired before its next compile; the rest return to the pool when the
+/// lease drops (also while unwinding from a backend panic).
+pub(crate) struct SessionLease<'a> {
+    backend: &'a SimCompileBackend,
+    sessions: HashMap<DirectiveModel, CompileSession>,
+}
+
+impl<'a> SessionLease<'a> {
+    pub(crate) fn new(backend: &'a SimCompileBackend) -> Self {
+        Self {
+            backend,
+            sessions: HashMap::new(),
+        }
+    }
+
+    /// Compile `item` through the leased session for its model.
+    pub(crate) fn compile(&mut self, item: &WorkItem) -> CompileOutput {
+        let backend = self.backend;
+        let session = self
+            .sessions
+            .entry(item.model)
+            .or_insert_with(|| backend.take_session(item.model));
+        if oversized(session) {
+            *session = backend.take_session(item.model);
+        }
+        backend.compile_with(session, item)
+    }
+}
+
+impl Drop for SessionLease<'_> {
+    fn drop(&mut self) {
+        for (model, session) in self.sessions.drain() {
+            self.backend.return_session(model, session);
+        }
+    }
+}
+
 impl CompileBackend for SimCompileBackend {
     fn compile(&self, item: &WorkItem) -> CompileOutput {
-        let mut session = self.take_session(item.model);
-        let output = self.compile_with(&mut session, item);
-        self.return_session(item.model, session);
-        output
+        SessionLease::new(self).compile(item)
     }
 
     fn name(&self) -> &'static str {

@@ -20,10 +20,11 @@
 //!
 //! A single [`ValidationService`], built via [`ValidationServiceBuilder`],
 //! replaces the old per-runner methods. The [`ExecutionStrategy`] selects
-//! the scheduling — the stage-pipelined work-stealing executor of
-//! [`parallel`] (the default), or the sequential reference it is tested
-//! against — and both share identical per-file semantics, so they produce
-//! identical records for identical inputs.
+//! the scheduling — the multi-worker executor of [`parallel`] (the
+//! default), or the sequential reference it is tested against — and both
+//! run every case through the same per-case function,
+//! [`ValidationService::process_case`], so they produce identical records
+//! for identical inputs.
 //!
 //! Results come in two shapes: a batch [`ValidationService::run`] returning
 //! a [`PipelineRun`], and a streaming [`ValidationService::submit`]

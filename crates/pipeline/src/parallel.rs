@@ -1,30 +1,25 @@
-//! The stage-pipelined, work-stealing parallel executor behind
+//! The multi-worker executor behind
 //! [`crate::ExecutionStrategy::Pipelined`].
 //!
 //! # Topology
 //!
-//! Every worker owns the whole pipeline: three shared [`Injector`] queues
-//! (compile → execute → judge) hold the stage transitions, and each of the
-//! `workers` threads pops from its
-//! *home* stage first — homes are distributed by measured per-case stage
-//! cost, execute-heavy — then steals from the other stages,
-//! downstream-first, whenever its home queue is empty. A worker that finds
-//! every queue empty admits new input. The result is a schedule that
-//! pipelines across stages *and* parallelizes within them, with no thread
-//! ever idle while any stage has work, at any worker count (a single
-//! worker degenerates to exactly the sequential schedule).
+//! `workers` identical threads each run whole cases: a worker admits the
+//! next case from the shared input, runs it through the service's one
+//! per-case function ([`crate::ValidationService::process_case`], with a
+//! compile-session lease the worker holds for its lifetime), and hands the
+//! record to the reorder buffer. Cases overlap across workers rather than
+//! across stages, so no stage transition ever crosses a thread and a
+//! single worker runs exactly the sequential schedule.
 //!
 //! # Constant memory
 //!
 //! Input is pulled lazily from the caller's iterator, gated by a global
-//! in-flight window (cases admitted but not yet yielded). Because
-//! admission is every worker's *last* resort, queue depths stay near zero
-//! under steady state and the window is only reached when the consumer or
-//! a stage stalls. Nothing in the executor blocks while holding queue
-//! space: stage transitions are pushes, and the only blocking send — into
-//! the bounded output channel — happens after all stage work for the case
-//! is done, so the classic pipeline deadlock (a full downstream channel
-//! holding up the stage that must drain it) cannot be constructed.
+//! in-flight window (cases admitted but not yet yielded). The window is
+//! only reached when the consumer or a straggling case stalls; workers
+//! that find it full park until an emission frees space. The only
+//! blocking send — into the bounded output channel — happens after all
+//! work for the case is done, so no worker holds a case another worker
+//! needs while it blocks.
 //!
 //! # Submission order
 //!
@@ -43,9 +38,9 @@
 //! worker leases its own `CompileSession`s (returned to the backend's
 //! pool at exit). The compile cache the sessions share is internally
 //! sharded ([`vv_simcompiler::CompileCache::with_shards`]) with per-shard
-//! locks and counters. What remains shared — the stage queues, the
-//! reorder buffer, the admission iterator — is touched once per stage
-//! transition, not per unit of stage work.
+//! locks and counters. What remains shared — the admission iterator and
+//! the reorder buffer — is touched once per case, not per unit of stage
+//! work.
 //!
 //! # Shutdown and panics
 //!
@@ -55,133 +50,57 @@
 //! wait) drains out promptly. A panicking backend sets the same flag from
 //! the worker's drop guard, so the remaining workers retire, the stream's
 //! join re-raises the panic on the consumer thread, and no thread is
-//! leaked — the early-drop stress test in `tests/parallel_parity.rs`
-//! exercises both paths.
+//! leaked. The early-drop stress test in `tests/parallel_parity.rs`
+//! exercises the first path; the mid-run backend-panic sweep in
+//! `runner.rs` exercises the second.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::Sender;
-use crossbeam::deque::{Injector, Steal};
 
-use crate::backend::{
-    CompileBackend, CompileOutput, ExecBackend, JudgeBackend, SimCompileBackend,
-    MAX_SESSION_SYMBOLS,
-};
-use crate::persist::RecordStore;
+use crate::service::ValidationService;
 use crate::stats::PipelineStats;
-use crate::{CaseRecord, CompileSummary, ExecSummary, PipelineMode, WorkItem};
-use vv_dclang::DirectiveModel;
-use vv_judge::CodeSignals;
-use vv_simcompiler::{CompileFetch, CompileSession, Program};
+use crate::{CaseRecord, WorkItem};
 
-/// Stage indices into the queue array.
-const COMPILE: usize = 0;
-const EXEC: usize = 1;
-const JUDGE: usize = 2;
-
-/// How long an idle worker sleeps before re-scanning on its own. Wakeups
+/// How long an idle worker sleeps before re-checking on its own. Wakeups
 /// are normally driven by the notification generation counter; the timeout
 /// is the liveness backstop that bounds shutdown latency even if a wakeup
 /// is lost.
 const IDLE_PARK: Duration = Duration::from_millis(5);
 
-/// Everything the executor needs from the service (the service's fields
-/// are private to its module; this bundle crosses the module boundary).
-pub(crate) struct PipelineSpec {
-    pub(crate) mode: PipelineMode,
-    pub(crate) compile: Arc<dyn CompileBackend>,
-    /// The concrete default backend when the service is running one, which
-    /// unlocks per-worker session leases; `None` falls back to the
-    /// object-safe per-call path.
-    pub(crate) sim_compile: Option<Arc<SimCompileBackend>>,
-    pub(crate) exec: Arc<dyn ExecBackend>,
-    pub(crate) judge: Arc<dyn JudgeBackend>,
-    pub(crate) record_store: Option<Arc<RecordStore>>,
-}
-
-/// A case in flight, tagged with its submission ordinal.
-enum Task {
-    Compile {
-        seq: usize,
-        item: WorkItem,
-    },
-    Exec {
-        seq: usize,
-        item: WorkItem,
-        compile: CompileSummary,
-        artifact: Option<Program>,
-        signals: Option<Arc<CodeSignals>>,
-    },
-    Judge {
-        seq: usize,
-        item: WorkItem,
-        compile: CompileSummary,
-        exec: Option<ExecSummary>,
-        signals: Option<Arc<CodeSignals>>,
-    },
-}
-
 /// The lazy input iterator plus the admission ordinal counter.
 struct InputState {
     items: Box<dyn Iterator<Item = WorkItem> + Send>,
     next_seq: usize,
-    done: bool,
 }
 
-/// A completed record waiting for its predecessors. Ordering is by
-/// ordinal only, reversed so [`BinaryHeap`] (a max-heap) pops the
-/// smallest ordinal first.
-struct Pending {
-    seq: usize,
-    record: CaseRecord,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.seq.cmp(&self.seq)
-    }
-}
-
-/// The submission-order release buffer in front of the output channel.
+/// The submission-order release buffer in front of the output channel:
+/// completed records keyed by ordinal, waiting for their predecessors.
 struct Reorder {
     tx: Option<Sender<CaseRecord>>,
-    pending: BinaryHeap<Pending>,
+    pending: BTreeMap<usize, CaseRecord>,
     next_emit: usize,
-}
-
-/// Wakeup bookkeeping: a generation counter bumped by every notification,
-/// so a worker that observed generation `g` before its final empty scan
-/// can sleep without racing a push that happened in between.
-struct MonitorState {
-    generation: u64,
 }
 
 /// State shared by every worker of one pipelined run.
 struct Core {
-    spec: PipelineSpec,
+    service: ValidationService,
     /// Bound on cases admitted but not yet released to the consumer.
     window: usize,
-    queues: [Injector<Task>; 3],
     input: Mutex<InputState>,
+    /// Set under the `input` lock once the iterator is exhausted.
     input_done: AtomicBool,
     in_flight: AtomicUsize,
     reorder: Mutex<Reorder>,
-    monitor: Mutex<MonitorState>,
+    /// Wakeup bookkeeping: a generation counter bumped by every
+    /// notification, so a worker that observed generation `g` before its
+    /// final admission attempt can sleep without racing an emission that
+    /// happened in between.
+    monitor: Mutex<u64>,
     wakeup: Condvar,
     cancelled: AtomicBool,
     stats: Arc<parking_lot::Mutex<PipelineStats>>,
@@ -190,7 +109,7 @@ struct Core {
 /// Spawn the pipelined executor: `workers` identical threads over the
 /// shared core. Called by `ValidationService::submit`.
 pub(crate) fn spawn(
-    spec: PipelineSpec,
+    service: ValidationService,
     items: impl Iterator<Item = WorkItem> + Send + 'static,
     tx_done: Sender<CaseRecord>,
     stats: &Arc<parking_lot::Mutex<PipelineStats>>,
@@ -199,48 +118,33 @@ pub(crate) fn spawn(
 ) -> Vec<JoinHandle<()>> {
     let workers = workers.max(1);
     let core = Arc::new(Core {
-        spec,
+        service,
         // At least two cases per worker keeps every thread busy while the
         // reorder buffer waits on a straggler; the channel capacity sets
         // the floor, so a configured capacity bounds memory as documented.
         window: capacity.max(2 * workers),
-        queues: [Injector::new(), Injector::new(), Injector::new()],
         input: Mutex::new(InputState {
             items: Box::new(items),
             next_seq: 0,
-            done: false,
         }),
         input_done: AtomicBool::new(false),
         in_flight: AtomicUsize::new(0),
         reorder: Mutex::new(Reorder {
             tx: Some(tx_done),
-            pending: BinaryHeap::new(),
+            pending: BTreeMap::new(),
             next_emit: 0,
         }),
-        monitor: Mutex::new(MonitorState { generation: 0 }),
+        monitor: Mutex::new(0),
         wakeup: Condvar::new(),
         cancelled: AtomicBool::new(false),
         stats: Arc::clone(stats),
     });
     (0..workers)
-        .map(|index| {
+        .map(|_| {
             let core = Arc::clone(&core);
-            std::thread::spawn(move || worker(core, home_stage(index)))
+            std::thread::spawn(move || worker(core))
         })
         .collect()
-}
-
-/// The home stage of worker `index`. Homes are distributed by measured
-/// per-case stage cost (BENCH_PR5: execute dominates by ~5x over judge
-/// and ~50x over a cached compile — weights 1:7:2), so pop priorities
-/// roughly match where the cycles go; work stealing reassigns threads the
-/// moment reality differs (e.g. under a latency-paced judge, where the
-/// judge stage dominates instead).
-fn home_stage(index: usize) -> usize {
-    const PATTERN: [usize; 10] = [
-        EXEC, EXEC, JUDGE, EXEC, EXEC, COMPILE, EXEC, JUDGE, EXEC, EXEC,
-    ];
-    PATTERN[index % PATTERN.len()]
 }
 
 fn lock_poison_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -250,19 +154,19 @@ fn lock_poison_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Core {
     /// Bump the notification generation and wake every parked worker.
     fn notify(&self) {
-        lock_poison_ok(&self.monitor).generation += 1;
+        *lock_poison_ok(&self.monitor) += 1;
         self.wakeup.notify_all();
     }
 
     fn generation(&self) -> u64 {
-        lock_poison_ok(&self.monitor).generation
+        *lock_poison_ok(&self.monitor)
     }
 
     /// Sleep until the generation moves past `observed` (or the liveness
     /// timeout elapses).
     fn park(&self, observed: u64) {
         let guard = lock_poison_ok(&self.monitor);
-        if guard.generation != observed {
+        if *guard != observed {
             return;
         }
         let _ = self
@@ -280,69 +184,59 @@ impl Core {
         self.cancelled.load(Ordering::Acquire)
     }
 
-    /// True once no case will ever need work again: the input iterator is
-    /// exhausted and every admitted case has been released (or the run was
-    /// cancelled).
+    /// True once no worker will ever admit another case: the input
+    /// iterator is exhausted (cases still in flight are finished by the
+    /// workers that admitted them), or the run was cancelled.
     fn finished(&self) -> bool {
-        self.cancelled()
-            || (self.input_done.load(Ordering::Acquire)
-                && self.in_flight.load(Ordering::Acquire) == 0)
+        self.cancelled() || self.input_done.load(Ordering::Acquire)
     }
 
-    /// Find the next task: home queue, then the other stages
-    /// downstream-first, then new input (admission is the last resort, so
-    /// in-flight cases drain before new ones enter and queue depths stay
-    /// near zero).
-    fn find_task(&self, home: usize) -> Option<Task> {
-        let order = match home {
-            COMPILE => [COMPILE, JUDGE, EXEC],
-            EXEC => [EXEC, JUDGE, COMPILE],
-            _ => [JUDGE, EXEC, COMPILE],
-        };
-        for stage in order {
-            loop {
-                match self.queues[stage].steal() {
-                    Steal::Success(task) => return Some(task),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
+    /// The next case to run, parking while the in-flight window is full;
+    /// `None` once the run is finished.
+    fn next_case(&self) -> Option<(usize, WorkItem)> {
+        loop {
+            if self.cancelled() {
+                return None;
             }
+            if let Some(case) = self.admit() {
+                return Some(case);
+            }
+            // Snapshot the generation, re-check once (an emission may have
+            // freed window space after the first attempt), then park
+            // against the snapshot: a notification between snapshot and
+            // park bumps the generation and the park returns immediately.
+            let observed = self.generation();
+            if self.finished() {
+                return None;
+            }
+            if let Some(case) = self.admit() {
+                return Some(case);
+            }
+            self.park(observed);
         }
-        self.admit()
     }
 
     /// Pull one new case from the input iterator, if the in-flight window
     /// has room.
-    fn admit(&self) -> Option<Task> {
+    fn admit(&self) -> Option<(usize, WorkItem)> {
         if self.in_flight.load(Ordering::Acquire) >= self.window {
             return None;
         }
         let mut input = lock_poison_ok(&self.input);
-        if input.done {
+        if self.input_done.load(Ordering::Acquire) {
             return None;
         }
-        match input.items.next() {
-            Some(item) => {
-                let seq = input.next_seq;
-                input.next_seq += 1;
-                self.in_flight.fetch_add(1, Ordering::AcqRel);
-                Some(Task::Compile { seq, item })
-            }
-            None => {
-                input.done = true;
-                drop(input);
-                self.input_done.store(true, Ordering::Release);
-                // Wake idlers so they observe the exhaustion and retire.
-                self.notify();
-                None
-            }
-        }
-    }
-
-    /// Push a stage transition and wake a worker for it.
-    fn forward(&self, stage: usize, task: Task) {
-        self.queues[stage].push(task);
-        self.notify();
+        let Some(item) = input.items.next() else {
+            self.input_done.store(true, Ordering::Release);
+            drop(input);
+            // Wake parked workers so they observe the exhaustion and retire.
+            self.notify();
+            return None;
+        };
+        let seq = input.next_seq;
+        input.next_seq += 1;
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        Some((seq, item))
     }
 
     /// Hand a completed record to the reorder buffer, releasing every
@@ -351,18 +245,17 @@ impl Core {
     /// down.
     fn emit(&self, seq: usize, record: CaseRecord) {
         let mut reorder = lock_poison_ok(&self.reorder);
-        reorder.pending.push(Pending { seq, record });
+        reorder.pending.insert(seq, record);
         let mut released = 0usize;
-        while reorder
-            .pending
-            .peek()
-            .is_some_and(|p| p.seq == reorder.next_emit)
-        {
-            let pending = reorder.pending.pop().expect("peeked entry");
-            reorder.next_emit += 1;
+        loop {
+            let next = reorder.next_emit;
+            let Some(record) = reorder.pending.remove(&next) else {
+                break;
+            };
+            reorder.next_emit = next + 1;
             released += 1;
             let disconnected = match &reorder.tx {
-                Some(tx) => tx.send(pending.record).is_err(),
+                Some(tx) => tx.send(record).is_err(),
                 None => true,
             };
             if disconnected {
@@ -376,21 +269,19 @@ impl Core {
         drop(reorder);
         if released > 0 {
             self.in_flight.fetch_sub(released, Ordering::AcqRel);
-            // Window space freed (and possibly the run finished): wake
-            // admission-blocked and retiring workers.
+            // Window space freed: wake admission-blocked workers.
             self.notify();
         }
     }
 }
 
-/// Per-worker private state, cleaned up through `Drop` so sessions return
-/// to the pool and partial statistics merge even when a backend panics —
-/// and so a panic cancels the run instead of leaving the other workers
-/// waiting for an ordinal that will never emit.
+/// Per-worker private statistics, merged through `Drop` so partial
+/// statistics survive a backend panic — and so a panic cancels the run
+/// instead of leaving the other workers waiting for an ordinal that will
+/// never emit.
 struct WorkerState {
     core: Arc<Core>,
     local: PipelineStats,
-    sessions: HashMap<DirectiveModel, CompileSession>,
 }
 
 impl Drop for WorkerState {
@@ -398,201 +289,23 @@ impl Drop for WorkerState {
         if std::thread::panicking() {
             self.core.cancel();
         }
-        if let Some(sim) = &self.core.spec.sim_compile {
-            for (model, session) in self.sessions.drain() {
-                sim.return_session(model, session);
-            }
-        }
         self.core.stats.lock().merge(&self.local);
-        // A retiring worker may be the one whose emission completed the
-        // run; make sure parked peers re-check promptly.
-        self.core.notify();
     }
 }
 
-impl WorkerState {
-    /// Compile through this worker's leased session when the concrete
-    /// backend allows it (no pool round-trip per case), or through the
-    /// object-safe backend otherwise.
-    fn compile(&mut self, item: &WorkItem) -> CompileOutput {
-        match &self.core.spec.sim_compile {
-            Some(sim) => {
-                let session = self
-                    .sessions
-                    .entry(item.model)
-                    .or_insert_with(|| sim.take_session(item.model));
-                if session.interner().len() > MAX_SESSION_SYMBOLS {
-                    // Same retirement rule as the pooled path: a
-                    // pathological corpus must not grow the interner
-                    // without bound.
-                    *session = sim.take_session(item.model);
-                }
-                sim.compile_with(session, item)
-            }
-            None => self.core.spec.compile.compile(item),
-        }
-    }
-}
-
-/// One worker thread: scan for work, process, retire when the run is
-/// complete (or cancelled).
-fn worker(core: Arc<Core>, home: usize) {
+/// One worker thread: admit a case, run it, emit its record; retire when
+/// the input is exhausted (or the run is cancelled).
+fn worker(core: Arc<Core>) {
     let mut state = WorkerState {
         core: Arc::clone(&core),
         local: PipelineStats::default(),
-        sessions: HashMap::new(),
     };
-    loop {
-        if core.cancelled() {
-            break;
-        }
-        if let Some(task) = core.find_task(home) {
-            run_task(&mut state, task);
-            continue;
-        }
-        // Empty scan. Snapshot the generation, re-scan once (a push may
-        // have raced the first scan), then park against the snapshot: a
-        // notification between snapshot and park bumps the generation and
-        // the park returns immediately.
-        let observed = core.generation();
-        if core.finished() {
-            break;
-        }
-        if let Some(task) = core.find_task(home) {
-            run_task(&mut state, task);
-            continue;
-        }
-        core.park(observed);
-    }
-}
-
-/// Run one stage for one case. Identical per-case semantics to
-/// `ValidationService::process_case` — the parity tests pin this.
-fn run_task(state: &mut WorkerState, task: Task) {
-    match task {
-        Task::Compile { seq, item } => {
-            state.local.submitted += 1;
-            let core = Arc::clone(&state.core);
-            if let Some(store) = &core.spec.record_store {
-                if let Some(record) = store.lookup(&item) {
-                    state.local.store_hits += 1;
-                    // Replay the stored stages into the aggregates, so
-                    // hit-heavy runs report the same stage counters as
-                    // cold ones.
-                    state.local.observe_record(&record);
-                    core.emit(seq, record);
-                    return;
-                }
-                state.local.store_misses += 1;
-            }
-            let CompileOutput {
-                summary: compile,
-                artifact,
-                signals,
-                fetch,
-            } = state.compile(&item);
-            state.local.compiled += 1;
-            if !compile.succeeded {
-                state.local.compile_failures += 1;
-            }
-            match fetch {
-                Some(CompileFetch::Fresh) => state.local.compile_cache_misses += 1,
-                Some(_) => state.local.compile_cache_hits += 1,
-                None => {}
-            }
-            if !compile.succeeded && core.spec.mode == PipelineMode::EarlyExit {
-                let record = CaseRecord {
-                    id: item.id.clone(),
-                    compile,
-                    exec: None,
-                    judgement: None,
-                };
-                if let Some(store) = &core.spec.record_store {
-                    store.persist(&item, &record);
-                }
-                core.emit(seq, record);
-                return;
-            }
-            core.forward(
-                EXEC,
-                Task::Exec {
-                    seq,
-                    item,
-                    compile,
-                    artifact,
-                    signals,
-                },
-            );
-        }
-        Task::Exec {
-            seq,
-            item,
-            compile,
-            artifact,
-            signals,
-        } => {
-            let core = Arc::clone(&state.core);
-            let exec = artifact
-                .as_ref()
-                .map(|program| core.spec.exec.execute(&item, program));
-            if exec.is_some() {
-                state.local.executed += 1;
-                if exec.as_ref().is_some_and(|e| !e.passed) {
-                    state.local.exec_failures += 1;
-                }
-            }
-            let failed = exec.as_ref().is_none_or(|e| !e.passed);
-            if failed && core.spec.mode == PipelineMode::EarlyExit {
-                let record = CaseRecord {
-                    id: item.id.clone(),
-                    compile,
-                    exec,
-                    judgement: None,
-                };
-                if let Some(store) = &core.spec.record_store {
-                    store.persist(&item, &record);
-                }
-                core.emit(seq, record);
-                return;
-            }
-            core.forward(
-                JUDGE,
-                Task::Judge {
-                    seq,
-                    item,
-                    compile,
-                    exec,
-                    signals,
-                },
-            );
-        }
-        Task::Judge {
-            seq,
-            item,
-            compile,
-            exec,
-            signals,
-        } => {
-            let core = Arc::clone(&state.core);
-            let judgement =
-                core.spec
-                    .judge
-                    .judge(&item, &compile, exec.as_ref(), signals.as_deref());
-            state.local.judged += 1;
-            state.local.observe_judge_latency_ms(judgement.latency_ms);
-            if !judgement.verdict_or_invalid().is_valid() {
-                state.local.judge_rejections += 1;
-            }
-            let record = CaseRecord {
-                id: item.id.clone(),
-                compile,
-                exec,
-                judgement: Some(judgement),
-            };
-            if let Some(store) = &core.spec.record_store {
-                store.persist(&item, &record);
-            }
-            core.emit(seq, record);
-        }
+    let mut lease = core.service.lease();
+    while let Some((seq, item)) = core.next_case() {
+        state.local.submitted += 1;
+        let record = core
+            .service
+            .process_leased(&item, &mut state.local, &mut lease);
+        core.emit(seq, record);
     }
 }

@@ -308,28 +308,60 @@ mod tests {
 
     #[test]
     fn backend_panics_propagate_to_the_caller() {
-        use crate::backend::JudgeBackend;
+        use crate::backend::{JudgeBackend, SurrogateJudgeBackend};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use vv_judge::{JudgeProfile, PromptStyle};
 
-        /// A judge that dies on its first file.
-        struct PanickingJudge;
+        /// The judge call that dies, mid-run: earlier records are already
+        /// in flight or emitted when it fires.
+        const FATAL_CALL: usize = 5;
+
+        /// A judge that dies on its `FATAL_CALL`-th file.
+        struct PanickingJudge {
+            inner: SurrogateJudgeBackend,
+            calls: AtomicUsize,
+        }
         impl JudgeBackend for PanickingJudge {
             fn judge(
                 &self,
-                _item: &WorkItem,
-                _compile: &crate::CompileSummary,
-                _exec: Option<&crate::ExecSummary>,
-                _signals: Option<&vv_judge::CodeSignals>,
+                item: &WorkItem,
+                compile: &crate::CompileSummary,
+                exec: Option<&crate::ExecSummary>,
+                signals: Option<&vv_judge::CodeSignals>,
             ) -> vv_judge::JudgeOutcome {
-                panic!("judge backend exploded");
+                if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == FATAL_CALL {
+                    panic!("judge backend exploded");
+                }
+                self.inner.judge(item, compile, exec, signals)
             }
         }
 
-        let (items, _) = probed_items(DirectiveModel::OpenAcc, 8, 19);
-        for strategy in ExecutionStrategy::ALL {
+        // RecordAll judges every file, so the fatal call is always reached.
+        let (items, _) = probed_items(DirectiveModel::OpenAcc, 32, 19);
+        let strategies = [
+            ExecutionStrategy::Sequential,
+            ExecutionStrategy::Pipelined { workers: 1 },
+            ExecutionStrategy::Pipelined { workers: 2 },
+            ExecutionStrategy::Pipelined { workers: 4 },
+        ];
+        for strategy in strategies {
+            // An in-flight window smaller than the input: without the
+            // panic cancelling the run, the surviving workers would fill it
+            // behind the dead case's ordinal and park forever.
             let service = ValidationService::builder()
+                .mode(PipelineMode::RecordAll)
                 .strategy(strategy)
-                .judge_backend(PanickingJudge)
+                .channel_capacity(4)
+                .judge_backend(PanickingJudge {
+                    inner: SurrogateJudgeBackend::new(
+                        JudgeProfile::oracle(),
+                        PromptStyle::AgentDirect,
+                        0,
+                    ),
+                    calls: AtomicUsize::new(0),
+                })
                 .build();
+            // Returning at all is half the assertion.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 service.run(items.clone())
             }));

@@ -12,10 +12,10 @@
 //!   Input is pulled lazily and the output channel is bounded, so the
 //!   suite can be arbitrarily large while memory stays constant.
 //!
-//! Both execution strategies share identical per-file semantics and
-//! therefore produce identical records, in the same order, for identical
-//! inputs (asserted by the strategy-parity tests); they differ only in
-//! scheduling.
+//! Both execution strategies run every case through the same per-case
+//! function, [`ValidationService::process_case`], and therefore produce
+//! identical records, in the same order, for identical inputs (asserted by
+//! the strategy-parity tests); they differ only in scheduling.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,8 +25,8 @@ use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 
 use crate::backend::{
-    CompileBackend, CompileOutput, ExecBackend, JudgeBackend, PacedJudge, SimCompileBackend,
-    SimExecBackend, SurrogateJudgeBackend,
+    CompileBackend, CompileOutput, ExecBackend, JudgeBackend, PacedJudge, SessionLease,
+    SimCompileBackend, SimExecBackend, SurrogateJudgeBackend,
 };
 use crate::persist::RecordStore;
 use crate::runner::PipelineRun;
@@ -39,13 +39,13 @@ use vv_store::ArtifactStore;
 
 /// How the service schedules the per-file work.
 ///
-/// Both strategies share identical per-file semantics and produce
-/// byte-identical records, in submission order, for identical inputs (the
-/// strategy-parity laws); they differ only in scheduling:
+/// Both strategies run each case through the same per-case function and
+/// produce byte-identical records, in submission order, for identical
+/// inputs (the strategy-parity laws); they differ only in scheduling:
 ///
-/// * [`Pipelined`](Self::Pipelined) — the default: stage-pipelined work
-///   stealing over a pool of workers, with lazy input admission and an
-///   ordered output stream.
+/// * [`Pipelined`](Self::Pipelined) — the default: a pool of workers, each
+///   running whole cases, with lazy input admission and an ordered output
+///   stream.
 /// * [`Sequential`](Self::Sequential) — one thread, one case at a time,
 ///   no scheduling at all. The slow reference oracle the parity tests
 ///   compare [`Pipelined`](Self::Pipelined) against, and the baseline for
@@ -55,11 +55,10 @@ pub enum ExecutionStrategy {
     /// One worker thread runs every stage for each file, in submission
     /// order.
     Sequential,
-    /// Stage-pipelined work stealing over `workers` threads (`0` = one per
-    /// available core): per-worker home stages sized to measured stage
-    /// cost, stealing across stages, lazy input admission bounded by an
-    /// in-flight window, and a reorder buffer so the stream yields records
-    /// in submission order. See [`crate::parallel`] for the design.
+    /// `workers` threads (`0` = one per available core), each running
+    /// whole cases: lazy input admission bounded by an in-flight window,
+    /// and a reorder buffer so the stream yields records in submission
+    /// order. See [`crate::parallel`] for the design.
     Pipelined {
         /// Worker thread count; `0` resolves to
         /// `std::thread::available_parallelism()`.
@@ -109,8 +108,8 @@ pub struct ValidationServiceBuilder {
     strategy: ExecutionStrategy,
     compile: Option<Arc<dyn CompileBackend>>,
     /// Concrete handle kept alongside `compile` when the compile backend is
-    /// the default simulated one, so the pipelined executor can lease
-    /// per-worker sessions instead of round-tripping the pool per case.
+    /// the default simulated one, so executor threads can lease sessions
+    /// instead of round-tripping the pool per case.
     sim_compile: Option<Arc<SimCompileBackend>>,
     exec: Option<Arc<dyn ExecBackend>>,
     judge: Option<Arc<dyn JudgeBackend>>,
@@ -141,7 +140,7 @@ impl ValidationServiceBuilder {
         self
     }
 
-    /// Scheduling strategy (the pipelined work-stealing executor, or the
+    /// Scheduling strategy (the pipelined multi-worker executor, or the
     /// sequential reference); see [`ExecutionStrategy`].
     pub fn strategy(mut self, strategy: ExecutionStrategy) -> Self {
         self.strategy = strategy;
@@ -180,8 +179,7 @@ impl ValidationServiceBuilder {
     }
 
     /// Plug in a simulated compile backend, keeping the concrete handle so
-    /// strategies that can exploit it (per-worker session leases in the
-    /// pipelined executor) do so.
+    /// executor threads can lease its sessions for their lifetime.
     fn sim_compile_backend(mut self, backend: SimCompileBackend) -> Self {
         let backend = Arc::new(backend);
         self.sim_compile = Some(Arc::clone(&backend));
@@ -357,8 +355,8 @@ pub struct ValidationService {
     strategy: ExecutionStrategy,
     compile: Arc<dyn CompileBackend>,
     /// The same backend as `compile` when it is the default simulated one
-    /// (strategies that can lease per-worker sessions use this handle);
-    /// `None` for custom backends.
+    /// (executor threads lease sessions through this handle); `None` for
+    /// custom backends.
     sim_compile: Option<Arc<SimCompileBackend>>,
     exec: Arc<dyn ExecBackend>,
     judge: Arc<dyn JudgeBackend>,
@@ -465,9 +463,10 @@ impl ValidationService {
                 let stats = Arc::clone(&stats);
                 vec![std::thread::spawn(move || {
                     let mut local = PipelineStats::default();
+                    let mut lease = service.lease();
                     for item in items {
                         local.submitted += 1;
-                        let record = service.process_case(&item, &mut local);
+                        let record = service.process_leased(&item, &mut local, &mut lease);
                         // A failed send means the consumer dropped the
                         // stream: stop pulling input.
                         if tx_done.send(record).is_err() {
@@ -485,15 +484,7 @@ impl ValidationService {
                 } else {
                     workers
                 };
-                let spec = crate::parallel::PipelineSpec {
-                    mode: self.config.mode,
-                    compile: Arc::clone(&self.compile),
-                    sim_compile: self.sim_compile.clone(),
-                    exec: Arc::clone(&self.exec),
-                    judge: Arc::clone(&self.judge),
-                    record_store: self.record_store.clone(),
-                };
-                crate::parallel::spawn(spec, items, tx_done, &stats, capacity, workers)
+                crate::parallel::spawn(self.clone(), items, tx_done, &stats, capacity, workers)
             }
         };
         RecordStream {
@@ -508,16 +499,35 @@ impl ValidationService {
 
     /// Run every stage for one item on the calling thread, folding its
     /// provenance into `stats` (everything but `submitted`, which the
-    /// caller counts). This is the per-case semantics both strategies
-    /// implement, and the synchronous entry point for external schedulers:
-    /// the validation server's tenant-fair worker pool dispatches through
-    /// it.
+    /// caller counts). This is the one per-case function: both strategies'
+    /// threads run every case through it (holding a compile-session lease
+    /// for their lifetime instead of one per call), and external
+    /// schedulers call it directly — the validation server's tenant-fair
+    /// worker pool dispatches through it.
     ///
     /// The record-store replay/persist layer is included, so by the
     /// strategy-parity and replay laws the returned record is
     /// byte-identical to what [`ValidationService::submit`] yields for the
     /// same item, whatever thread or order a scheduler picks.
     pub fn process_case(&self, item: &WorkItem, stats: &mut PipelineStats) -> CaseRecord {
+        self.process_leased(item, stats, &mut self.lease())
+    }
+
+    /// A compile-session lease on the default simulated backend, for a
+    /// thread that compiles many cases; `None` when a custom compile
+    /// backend is plugged in (it is called per case instead).
+    pub(crate) fn lease(&self) -> Option<SessionLease<'_>> {
+        self.sim_compile.as_deref().map(SessionLease::new)
+    }
+
+    /// [`ValidationService::process_case`], compiling through the caller's
+    /// `lease` (from [`ValidationService::lease`] on this service).
+    pub(crate) fn process_leased(
+        &self,
+        item: &WorkItem,
+        stats: &mut PipelineStats,
+        lease: &mut Option<SessionLease<'_>>,
+    ) -> CaseRecord {
         if let Some(store) = &self.record_store {
             if let Some(record) = store.lookup(item) {
                 stats.store_hits += 1;
@@ -529,7 +539,7 @@ impl ValidationService {
             }
             stats.store_misses += 1;
         }
-        let record = self.process_fresh(item, stats);
+        let record = self.process_fresh(item, stats, lease);
         if let Some(store) = &self.record_store {
             store.persist(item, &record);
         }
@@ -537,14 +547,22 @@ impl ValidationService {
     }
 
     /// The three stages proper, bypassing the store layer.
-    fn process_fresh(&self, item: &WorkItem, stats: &mut PipelineStats) -> CaseRecord {
+    fn process_fresh(
+        &self,
+        item: &WorkItem,
+        stats: &mut PipelineStats,
+        lease: &mut Option<SessionLease<'_>>,
+    ) -> CaseRecord {
         let mode = self.config.mode;
         let CompileOutput {
             summary: compile,
             artifact,
             signals,
             fetch,
-        } = self.compile.compile(item);
+        } = match lease {
+            Some(lease) => lease.compile(item),
+            None => self.compile.compile(item),
+        };
         stats.compiled += 1;
         if !compile.succeeded {
             stats.compile_failures += 1;

@@ -1,15 +1,19 @@
-//! Parity and shutdown laws of the pipelined work-stealing executor
+//! Parity and shutdown laws of the multi-worker executor
 //! (`ExecutionStrategy::Pipelined`).
 //!
 //! The contract under test, at release scale:
 //!
-//! * **Byte identity** — for every worker count and compile-cache shard
-//!   layout, `Pipelined` produces records equal (full `CaseRecord`
-//!   equality, every captured field) to the `Sequential` baseline, in both
-//!   pipeline modes;
-//! * **Submission order** — unlike the other streaming strategies, the
-//!   pipelined executor's `RecordStream` yields records in submission
-//!   order (its reorder buffer releases ordinal `n + 1` only after `n`);
+//! * **Byte identity** — for every worker count, compile-cache shard
+//!   layout and artifact-store state (none, cold, warm), `Pipelined`
+//!   produces records equal (full `CaseRecord` equality, every captured
+//!   field) to the `Sequential` baseline, in both pipeline modes;
+//! * **Counter parity** — the stage counters (`submitted`, `compiled`,
+//!   `executed`, `judged` and their failure/rejection tallies) equal the
+//!   `Sequential` run's exactly, and the store counters conserve
+//!   (`store_hits + store_misses == submitted`, all hits when warm);
+//! * **Submission order** — like the `Sequential` oracle, the pipelined
+//!   executor's `RecordStream` yields records in submission order (its
+//!   reorder buffer releases ordinal `n + 1` only after `n`);
 //! * **Exact histogram merge** — per-worker judge-latency histograms merge
 //!   into exactly the sequential run's histogram (the accumulator-merge
 //!   law applied to per-worker private stats). Float *sums* of simulated
@@ -21,19 +25,22 @@
 //!
 //! Cache hit/miss *totals* are schedule-dependent under concurrency (two
 //! workers can race-miss the same address), so the cache law asserted here
-//! is conservation — `hits + misses == compiled` — not equality with the
-//! sequential split.
+//! is conservation — `hits + misses == compiled`, less the store replays,
+//! which never reach the compile cache — not equality with the sequential
+//! split.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
 use vv_pipeline::{
-    CaseRecord, ExecutionStrategy, PipelineMode, ValidationService, ValidationServiceBuilder,
-    WorkItem,
+    CaseRecord, ExecutionStrategy, PipelineMode, PipelineRun, PipelineStats, ValidationService,
+    ValidationServiceBuilder, WorkItem,
 };
 use vv_probing::{CorpusSpec, ProbeConfig};
+use vv_store::ArtifactStore;
 
 /// Release runs exercise the executor at the scale the ISSUE pins (≥10k
 /// mixed cases); debug builds keep the suite fast.
@@ -61,6 +68,54 @@ fn builder(mode: PipelineMode, strategy: ExecutionStrategy) -> ValidationService
     ValidationService::builder().mode(mode).strategy(strategy)
 }
 
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vv-parallel-parity-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+/// Where one pipelined run keeps its compile cache and records.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// The in-memory compile cache with this many shards (`0` = the
+    /// library default).
+    Shards(usize),
+    /// An artifact store over a scratch directory: a cold run, then a warm
+    /// rerun over the populated store.
+    Store,
+}
+
+/// The stage counters every schedule must reproduce exactly.
+fn stage_counters(stats: &PipelineStats) -> [usize; 7] {
+    [
+        stats.submitted,
+        stats.compiled,
+        stats.compile_failures,
+        stats.executed,
+        stats.exec_failures,
+        stats.judged,
+        stats.judge_rejections,
+    ]
+}
+
+fn assert_matches_reference(reference: &PipelineRun, run: &PipelineRun, label: &str) {
+    assert_eq!(
+        reference.records, run.records,
+        "{label}: diverged from Sequential"
+    );
+    assert_eq!(
+        stage_counters(&run.stats),
+        stage_counters(&reference.stats),
+        "{label}: stage counters differ from Sequential"
+    );
+    assert_eq!(
+        run.stats.compile_cache_hits + run.stats.compile_cache_misses,
+        run.stats.compiled - run.stats.store_hits,
+        "{label}: cache counter conservation"
+    );
+}
+
 #[test]
 fn pipelined_is_byte_identical_to_sequential_across_workers_and_shards() {
     let items = mixed_items(DirectiveModel::OpenAcc, SCALE, 0xBEEF);
@@ -74,22 +129,41 @@ fn pipelined_is_byte_identical_to_sequential_across_workers_and_shards() {
         assert!(reference.stats.compile_failures > 0, "no compile failures");
 
         for workers in WORKER_COUNTS {
-            // Shard layouts: the default sharded cache and the single-lock
-            // single-shard layout both uphold the identity.
-            for shards in [0usize, 1] {
-                let run = builder(mode, ExecutionStrategy::Pipelined { workers })
-                    .compile_cache_shards(shards)
-                    .build()
-                    .run(items.clone());
-                assert_eq!(
-                    reference.records, run.records,
-                    "{mode:?} workers={workers} shards={shards} diverged from Sequential"
-                );
-                assert_eq!(
-                    run.stats.compile_cache_hits + run.stats.compile_cache_misses,
-                    run.stats.compiled,
-                    "{mode:?} workers={workers} shards={shards}: cache counter conservation"
-                );
+            // The default sharded cache and the single-lock single-shard
+            // layout both uphold the identity, and so does a store-backed
+            // run whether it validates fresh or replays.
+            for layout in [Layout::Shards(0), Layout::Shards(1), Layout::Store] {
+                let label = format!("{mode:?} workers={workers} {layout:?}");
+                let strategy = ExecutionStrategy::Pipelined { workers };
+                match layout {
+                    Layout::Shards(shards) => {
+                        let run = builder(mode, strategy)
+                            .compile_cache_shards(shards)
+                            .build()
+                            .run(items.clone());
+                        assert_matches_reference(&reference, &run, &label);
+                    }
+                    Layout::Store => {
+                        let dir = temp_dir(&format!("{mode:?}-{workers}"));
+                        let store = ArtifactStore::open_shared(&dir).expect("open store");
+                        let service = builder(mode, strategy).artifact_store(store).build();
+                        let cold = service.run(items.clone());
+                        assert_matches_reference(&reference, &cold, &format!("{label} cold"));
+                        assert_eq!(
+                            cold.stats.store_hits + cold.stats.store_misses,
+                            cold.stats.submitted,
+                            "{label} cold: store counter conservation"
+                        );
+                        let warm = service.run(items.clone());
+                        assert_matches_reference(&reference, &warm, &format!("{label} warm"));
+                        assert_eq!(
+                            warm.stats.store_hits, warm.stats.submitted,
+                            "{label} warm: every case must replay"
+                        );
+                        drop(service);
+                        let _ = std::fs::remove_dir_all(&dir);
+                    }
+                }
             }
         }
     }

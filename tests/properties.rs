@@ -130,7 +130,7 @@ fn probing_always_splits_at_the_requested_fraction() {
 #[test]
 fn pipelined_equals_sequential_for_any_worker_count() {
     // Sweep over models, seeds and worker counts; the pipelined
-    // work-stealing service and the sequential reference must always agree
+    // multi-worker service and the sequential reference must always agree
     // on every verdict and on how far every file progressed.
     let worker_counts = [1usize, 2, 3, 5];
     let seeds = [0u64, 59, 131, 197];
