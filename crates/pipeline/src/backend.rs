@@ -14,9 +14,9 @@
 //! The default implementations wrap the simulated substrates the paper's
 //! reproduction is built on: [`SimCompileBackend`] (vv-simcompiler, through
 //! per-worker [`CompileSession`]s around one shared content-addressed
-//! [`CompileCache`]), [`SimExecBackend`] (vv-simexec) and
-//! [`SurrogateJudgeBackend`] (vv-judge's calibrated surrogate model, fed the
-//! code signals the compile stage precomputed).
+//! [`CompileCache`]), [`SimExecBackend`] (vv-simexec, memoized per program)
+//! and [`SurrogateJudgeBackend`] (vv-judge's calibrated surrogate model, fed
+//! the code signals the compile stage precomputed).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -128,8 +128,8 @@ pub trait JudgeBackend: Send + Sync {
 ///
 /// Cache hits return the memoized outcome object — byte-identical to a
 /// fresh compile by construction (the compiler is deterministic and the key
-/// covers everything it reads), and sharing the already-lowered execution
-/// artifact and already-derived judge signals.
+/// covers everything it reads), and sharing the already-memoized execution
+/// summary and already-derived judge signals.
 #[derive(Debug)]
 pub struct SimCompileBackend {
     cache: Option<Arc<CompileCache>>,
@@ -318,10 +318,32 @@ impl CompileBackend for SimCompileBackend {
     }
 }
 
-/// Default execute backend: the deterministic vv-simexec interpreter.
+/// Default execute backend: the deterministic vv-simexec interpreter,
+/// memoized per [`Program`].
+///
+/// The simulator is deterministic, so a run depends only on the program and
+/// the executor's [`ExecConfig`]. The first execution of a program lowers it
+/// without caching the bytecode ([`Executor::run_uncached`]), runs it once,
+/// and publishes the [`ExecSummary`] together with the config in the
+/// program's fill-once slot ([`Program::derived`]). Clones of the program
+/// share that slot, and so does every compile-cache hit, so later
+/// executions of the same program return the stored summary (two
+/// reference-count bumps) instead of running the VM.
+///
+/// A backend whose config differs from the stored one runs fresh and does
+/// not publish. A program whose slot already holds something else (its
+/// bytecode, after a bare [`Executor::run`]) is run fresh on every call:
+/// still correct, just unmemoized.
 #[derive(Clone, Debug, Default)]
 pub struct SimExecBackend {
     executor: Executor,
+}
+
+/// What [`SimExecBackend`] keeps in a program's slot: the summary and the
+/// config it was computed under.
+struct ExecMemo {
+    config: ExecConfig,
+    summary: ExecSummary,
 }
 
 impl SimExecBackend {
@@ -331,16 +353,30 @@ impl SimExecBackend {
             executor: Executor::new(config),
         }
     }
-}
 
-impl ExecBackend for SimExecBackend {
-    fn execute(&self, _item: &WorkItem, program: &Program) -> ExecSummary {
-        let outcome = self.executor.run(program);
+    /// Run the VM on `program`, leaving its slot alone.
+    fn run(&self, program: &Program) -> ExecSummary {
+        let outcome = self.executor.run_uncached(program);
         ExecSummary {
             return_code: outcome.return_code,
             stdout: outcome.stdout.into(),
             stderr: outcome.stderr.into(),
             passed: outcome.return_code == 0,
+        }
+    }
+}
+
+impl ExecBackend for SimExecBackend {
+    fn execute(&self, _item: &WorkItem, program: &Program) -> ExecSummary {
+        let config = self.executor.config;
+        let memo = program.derived(|| ExecMemo {
+            config,
+            summary: self.run(program),
+        });
+        if memo.config == config {
+            memo.summary.clone()
+        } else {
+            self.run(program)
         }
     }
 
@@ -599,6 +635,37 @@ int main() {
         ));
         let stats = backend.cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses), (1, 2));
+    }
+
+    #[test]
+    fn exec_memo_is_keyed_by_config() {
+        // About 50k interpreter steps: past the limited backend's budget,
+        // far inside the default one's.
+        const LOOP: &str = "int main() { int s = 0; for (int i = 0; i < 5000; i++) { s = s + 1; } return s == 5000 ? 0 : 1; }";
+        let limited = SimExecBackend::new(ExecConfig {
+            step_limit: 10_000,
+            ..ExecConfig::default()
+        });
+        let default = SimExecBackend::default();
+        let work = item(LOOP);
+        for order in [[&limited, &default], [&default, &limited]] {
+            let program = SimCompileBackend::uncached()
+                .compile(&work)
+                .artifact
+                .expect("compiles");
+            // The second pass finds the first backend's summary in the slot.
+            for _ in 0..2 {
+                for backend in order {
+                    let expected = if std::ptr::eq(backend, &limited) {
+                        124
+                    } else {
+                        0
+                    };
+                    let ran = backend.execute(&work, &program);
+                    assert_eq!(ran.return_code, expected, "{backend:?}: {}", ran.stderr);
+                }
+            }
+        }
     }
 
     #[test]

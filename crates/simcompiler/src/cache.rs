@@ -9,9 +9,10 @@
 //! outcome can be memoized soundly: a cache hit returns an
 //! `Arc<CompileOutcome>` that is **the same object** a fresh compile of the
 //! same key produced earlier — byte-identical by construction, and carrying
-//! the already-lowered execution artifact and already-derived analyses in
-//! its shared slots (see `tests/compile_parity.rs` for the end-to-end
-//! equivalence proof against fresh compiles).
+//! whatever was already derived from it in its shared slots: the program's
+//! execution summary (kept there by the validation pipeline's exec backend)
+//! and the judge's analyses (see `tests/compile_parity.rs` for the
+//! end-to-end equivalence proof against fresh compiles).
 //!
 //! Keys are addressed by an FNV-1a hash over the source bytes mixed with
 //! the configuration discriminants, but correctness never rests on the

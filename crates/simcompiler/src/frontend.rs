@@ -41,13 +41,15 @@ impl Lang {
 
 /// A shareable, type-erased, fill-once cache slot.
 ///
-/// Two places use this pattern: a [`Program`] caches its lowered execution
-/// artifact (the bytecode lives in `vv-simexec`, which depends on this
-/// crate, so the field must be type-erased to avoid a dependency cycle),
-/// and a [`CompileOutcome`] caches derived per-source analyses (the judge's
-/// code signals live in `vv-judge`, same cycle). Clones share the slot
-/// through an `Arc`, so whatever is computed once is reused by every copy —
-/// including every compile-cache hit.
+/// Two places use this pattern: a [`Program`] caches one value derived from
+/// it (see [`Program::derived`]: the validation pipeline keeps the
+/// program's execution summary there, a bare `vv-simexec` executor its
+/// lowered bytecode; both types live in crates that depend on this one, so
+/// the field must be type-erased to avoid a dependency cycle), and a
+/// [`CompileOutcome`] caches derived per-source analyses (the judge's code
+/// signals live in `vv-judge`, same cycle). Clones share the slot through an
+/// `Arc`, so whatever is computed once is reused by every copy — including
+/// every compile-cache hit.
 #[derive(Clone, Default)]
 pub struct SharedSlot(Arc<OnceLock<Arc<dyn Any + Send + Sync>>>);
 
@@ -55,8 +57,7 @@ impl SharedSlot {
     /// Return the cached value, building it with `init` on the first call.
     ///
     /// The slot holds a single type: if a caller asks for a different `T`
-    /// than the one cached (which no current caller does), the value is
-    /// rebuilt without being cached.
+    /// than the one cached, the value is rebuilt without being cached.
     pub fn get_or_init_with<T>(&self, init: impl FnOnce() -> T) -> Arc<T>
     where
         T: Any + Send + Sync,
@@ -94,13 +95,13 @@ impl fmt::Debug for SharedSlot {
 ///
 /// The translation unit is behind an `Arc`, so cloning a `Program` (as the
 /// compile cache does on every hit) is two reference-count bumps — the AST
-/// and the lowered-bytecode slot are shared, never re-built.
+/// and the derived-value slot are shared, never re-built.
 ///
-/// **Invariant:** a `Program` is immutable once executed. The lowered-form
-/// cache ([`Program::lowered_artifact`]) is filled on first execution and
-/// never invalidated, so mutating `unit` or `model` afterwards would leave
-/// stale bytecode behind — construct a fresh `Program` (e.g. via
-/// [`Program::new`]) instead of editing one in place.
+/// **Invariant:** a `Program` is immutable once executed. The derived-value
+/// slot ([`Program::derived`]) is filled on first execution and never
+/// invalidated, so mutating `unit` or `model` afterwards would leave a stale
+/// execution summary or stale bytecode behind — construct a fresh `Program`
+/// (e.g. via [`Program::new`]) instead of editing one in place.
 #[derive(Clone, Debug)]
 pub struct Program {
     /// The parsed and semantically checked translation unit (shared).
@@ -109,8 +110,8 @@ pub struct Program {
     pub model: DirectiveModel,
     /// The source language flavor.
     pub lang: Lang,
-    /// Compile-once/execute-many slot for the lowered form (see
-    /// [`Program::lowered_artifact`]).
+    /// Fill-once slot for a value derived from the program (see
+    /// [`Program::derived`]).
     cache: SharedSlot,
 }
 
@@ -125,19 +126,24 @@ impl Program {
         }
     }
 
-    /// Return the cached lowered artifact, building it with `lower` on the
-    /// first call. Clones of this program share the slot, so the probing and
-    /// benchmark layers that execute one base program many times pay the
-    /// lowering cost once — and so does every compile-cache hit for the same
-    /// source text.
+    /// Return the value cached for this program, building it with `build` on
+    /// the first call. Clones of this program share the slot, and so does
+    /// every compile-cache hit for the same source text, so the value is
+    /// built once per distinct program.
+    ///
+    /// The validation pipeline's exec backend keeps the program's execution
+    /// summary here, so a repeated program skips the VM; a bare `vv-simexec`
+    /// executor keeps the lowered bytecode here instead. The slot holds one
+    /// type: a caller asking for another type gets an uncached build (see
+    /// [`SharedSlot::get_or_init_with`]).
     ///
     /// The cache is never invalidated — see the type-level invariant: do
     /// not mutate `unit`/`model` after the first execution.
-    pub fn lowered_artifact<T>(&self, lower: impl FnOnce() -> T) -> Arc<T>
+    pub fn derived<T>(&self, build: impl FnOnce() -> T) -> Arc<T>
     where
         T: Any + Send + Sync,
     {
-        self.cache.get_or_init_with(lower)
+        self.cache.get_or_init_with(build)
     }
 }
 

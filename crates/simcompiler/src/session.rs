@@ -115,7 +115,7 @@ impl CompileSession {
     /// Compile one source file, consulting the cache when one is attached.
     ///
     /// Hits return the memoized outcome object itself (with its shared
-    /// lowered-artifact and analysis slots); misses compile through the
+    /// derived-value and analysis slots); misses compile through the
     /// session interner and memoize the result.
     pub fn compile(&mut self, source: &str, lang: Lang) -> Arc<CompileOutcome> {
         self.compile_classified(source, lang).0

@@ -45,9 +45,13 @@
 //!   mirroring how `Flow` propagation in the oracle runs exit clauses on the
 //!   way out.
 //! * **Cache reuse.** [`lower_cached`] stashes the artifact in the
-//!   [`Program`]'s type-erased cache slot: compile once, execute many.
-//!   Clones of the `Program` share the slot, so the probing layer, the
-//!   pipeline and the benches all reuse one lowering per base program.
+//!   [`Program`]'s type-erased shared slot ([`Program::derived`]): compile
+//!   once, execute many. Clones of the `Program` share the slot, so bare
+//!   executor callers (tests, benches, examples) reuse one lowering per
+//!   base program. The validation pipeline does not: its exec backend runs
+//!   each program once through [`crate::Executor::run_uncached`] and keeps
+//!   the run's summary in the slot instead of the bytecode. The slot holds one type, so on a program
+//!   whose slot holds that summary [`lower_cached`] lowers afresh each call.
 //!
 //! Per-operation semantics (operator application, coercion, deterministic
 //! garbage, memory and capture rules) are shared with the oracle through
@@ -335,7 +339,7 @@ pub(crate) struct FuncCode {
 }
 
 /// A [`Program`] lowered to register bytecode — the compile-once /
-/// execute-many artifact cached on the program itself.
+/// execute-many artifact that [`lower_cached`] keeps on the program itself.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     pub(crate) consts: Vec<Value>,
@@ -374,9 +378,10 @@ impl CompiledProgram {
     }
 }
 
-/// Lower through the [`Program`]'s cache slot: the first call builds the
+/// Lower through the [`Program`]'s shared slot: the first call builds the
 /// bytecode, every later call (on this program or any clone) is a pointer
-/// clone.
+/// clone. If the slot already holds a value of another type, every call
+/// builds the bytecode afresh and leaves the slot as it is.
 pub fn lower_cached(program: &Program) -> std::sync::Arc<CompiledProgram> {
-    program.lowered_artifact(|| lower(program))
+    program.derived(|| lower(program))
 }

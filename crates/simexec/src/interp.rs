@@ -3,17 +3,20 @@
 //! [`Executor::run`] lowers the checked [`Program`] to register bytecode
 //! (once — the artifact is cached on the program, see
 //! [`crate::bytecode::lower_cached`]) and executes it with the VM's
-//! dispatch loop. The original tree-walking interpreter is available as an
+//! dispatch loop. [`Executor::run_uncached`] lowers afresh, runs, and drops
+//! the bytecode without touching the program's slot; the pipeline's exec
+//! backend uses it because it keeps the run's *result* in that slot
+//! instead. The original tree-walking interpreter is available as an
 //! oracle behind the `treewalk-reference` feature
-//! ([`crate::treewalk::TreeWalkExecutor`]); both produce byte-identical
-//! [`ExecOutcome`]s.
+//! ([`crate::treewalk::TreeWalkExecutor`]); all three produce
+//! byte-identical [`ExecOutcome`]s.
 
 use crate::bytecode;
 use crate::outcome::ExecOutcome;
 use vv_simcompiler::Program;
 
 /// Configuration for the executor.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Maximum number of interpreter steps before the run is killed
     /// (simulates a batch-system time limit).
@@ -51,10 +54,23 @@ impl Executor {
     ///
     /// The first run of a given program lowers it to bytecode and caches
     /// the artifact on the program itself; subsequent runs (including runs
-    /// of clones) skip straight to execution.
+    /// of clones) skip straight to execution. If the program's slot already
+    /// holds something else (the pipeline's memoized exec summary), every
+    /// run lowers afresh: still correct, just not cached.
     pub fn run(&self, program: &Program) -> ExecOutcome {
         let lowered = bytecode::lower_cached(program);
         bytecode::run_lowered(&lowered, &self.config)
+    }
+
+    /// Execute a compiled program without reading or filling its shared
+    /// slot: lower it, run the bytecode once, and drop it.
+    ///
+    /// For callers that cache something else in [`Program::derived`] (the
+    /// pipeline's exec backend keeps the run's summary there), so the
+    /// program does not also carry its bytecode. The outcome is identical
+    /// to [`Executor::run`]'s.
+    pub fn run_uncached(&self, program: &Program) -> ExecOutcome {
+        bytecode::run_lowered(&bytecode::lower(program), &self.config)
     }
 }
 
@@ -368,6 +384,31 @@ int main() {
         let second = bytecode::lower_cached(&program.clone());
         assert!(std::sync::Arc::ptr_eq(&first, &second));
         assert!(first.instruction_count() > 0);
+    }
+
+    #[test]
+    fn uncached_run_matches_cached_run_and_leaves_the_slot_empty() {
+        let program = compile(
+            "#include <stdio.h>\nint main() { int s = 0; for (int i = 0; i < 5; i++) { s += i; } printf(\"%d\\n\", s); return s == 10 ? 0 : 1; }",
+            DirectiveModel::OpenAcc,
+        );
+        let exec = Executor::default();
+        let uncached = exec.run_uncached(&program);
+        // The slot is still empty, so the first value offered is published.
+        assert_eq!(*program.derived(|| 7u32), 7);
+        assert_eq!(*program.derived(|| 8u32), 7);
+        // `run` on a slot that holds another type lowers without caching,
+        // and still agrees with the uncached run.
+        let cached = exec.run(&program);
+        assert_eq!(uncached.stdout, "10\n");
+        assert_eq!(
+            (uncached.return_code, &uncached.stdout, &uncached.stderr),
+            (cached.return_code, &cached.stdout, &cached.stderr)
+        );
+        assert_eq!(
+            (uncached.fault, uncached.steps),
+            (cached.fault, cached.steps)
+        );
     }
 
     #[test]

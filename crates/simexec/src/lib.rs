@@ -23,10 +23,15 @@
 //! # Execution engines
 //!
 //! Programs execute through the register-bytecode VM in [`bytecode`]: the
-//! checked AST is lowered once (interned symbols, frame-slot variable
-//! resolution, pre-resolved function and clause references) and the artifact
-//! is cached on the [`vv_simcompiler::Program`], so repeated execution pays
-//! only the dispatch loop. The original tree-walking interpreter is retained
+//! checked AST is lowered (interned symbols, frame-slot variable resolution,
+//! pre-resolved function and clause references) and the dispatch loop runs
+//! the result. [`Executor::run`] caches the lowered artifact in the
+//! [`vv_simcompiler::Program`]'s shared slot, so repeated execution pays only
+//! the dispatch loop. [`Executor::run_uncached`] lowers, runs and drops the
+//! bytecode without touching the slot; the validation pipeline's exec
+//! backend uses it and keeps the run's summary in the slot instead, so a
+//! repeated program skips the VM altogether there. No memo lives in this
+//! crate: every call here runs the VM. The original tree-walking interpreter is retained
 //! behind the `treewalk-reference` feature as a differential oracle: both
 //! engines share per-operation semantics and must produce byte-identical
 //! [`ExecOutcome`]s (asserted over the streaming corpus by

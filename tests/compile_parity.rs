@@ -26,7 +26,8 @@ use vv_corpus::{CaseSource, RandomCodeSource, TemplateSource};
 use vv_dclang::DirectiveModel;
 use vv_judge::{extract_signals, CodeSignals};
 use vv_pipeline::{
-    CompileBackend, CompileOutput, PipelineMode, SimCompileBackend, ValidationService, WorkItem,
+    CompileBackend, CompileOutput, ExecBackend, PipelineMode, SimCompileBackend, SimExecBackend,
+    ValidationService, WorkItem,
 };
 use vv_probing::CorpusSpec;
 use vv_simcompiler::{compiler_for, CompileCache, CompileSession, Lang};
@@ -247,4 +248,38 @@ fn lowered_artifacts_are_shared_across_cache_hits() {
     let a = vv_simexec::lower_cached(&first);
     let b = vv_simexec::lower_cached(&second);
     assert!(Arc::ptr_eq(&a, &b), "cache hit must share lowered bytecode");
+}
+
+#[test]
+fn exec_summaries_are_shared_across_cache_hits() {
+    // The exec backend memoizes its summary in the program's shared slot, so
+    // executing a cache hit returns the very buffers the admitted program's
+    // run captured instead of running the VM again.
+    let source = "#include <stdio.h>\nint main() { double a[8]; double s = 0.0;\n#pragma acc parallel loop\nfor (int i = 0; i < 8; i++) { a[i] = i * 2.0; }\nfor (int i = 0; i < 8; i++) { s += a[i]; }\nprintf(\"sum=%f\\n\", s);\nreturn s == 56.0 ? 0 : 1; }";
+    let backend = SimCompileBackend::default();
+    let exec = SimExecBackend::default();
+    let item = WorkItem {
+        id: "dup".into(),
+        source: source.into(),
+        lang: Lang::C,
+        model: DirectiveModel::OpenAcc,
+    };
+    let _ = backend.compile(&item); // first touch: admission filter only
+    let first = backend.compile(&item).artifact.expect("compiles"); // admitted
+    let a = exec.execute(&item, &first); // runs the VM, publishes the summary
+    let second = backend.compile(&item).artifact.expect("compiles"); // hit
+    let b = exec.execute(&item, &second);
+    assert!(
+        Arc::ptr_eq(&a.stdout, &b.stdout),
+        "cache hit must reuse the memoized summary"
+    );
+    assert_eq!(a, b);
+    // Memo ≡ VM: the stored summary is what a plain VM run produces.
+    let vm = vv_simexec::Executor::default().run(&second);
+    assert_eq!(a.stdout.as_ref(), "sum=56.000000\n");
+    assert_eq!(
+        (a.return_code, a.stdout.as_ref(), a.stderr.as_ref()),
+        (vm.return_code, vm.stdout.as_str(), vm.stderr.as_str())
+    );
+    assert_eq!(a.passed, vm.passed());
 }

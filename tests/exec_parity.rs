@@ -7,7 +7,7 @@
 //! must agree on return code, stdout, stderr, fault *and* step count, and a
 //! validation service wired with the oracle backend must produce the same
 //! records and the same judge-latency histogram buckets as the production
-//! (bytecode) service.
+//! (bytecode, memoized per program) service.
 //!
 //! Release runs sweep ≥ 10k mixed cases per the PR-4 acceptance bar; debug
 //! runs shrink so tier-1 `cargo test -q` stays fast.
@@ -198,6 +198,10 @@ impl ExecBackend for TreeWalkBackend {
 fn service_records_and_latency_histogram_are_engine_independent() {
     let n = if cfg!(debug_assertions) { 80 } else { 2500 };
     for model in [DirectiveModel::OpenAcc, DirectiveModel::OpenMp] {
+        // Each case three times over, under distinct ids: the compile cache
+        // admits a source on its second touch and hits on its third, so the
+        // bytecode service serves repeats from the exec memo while the
+        // oracle service runs the tree-walker every time.
         let items: Vec<WorkItem> = CorpusSpec::new(model)
             .seed(0xFA57)
             .probe_seed(0x51_0C)
@@ -205,6 +209,12 @@ fn service_records_and_latency_histogram_are_engine_independent() {
             .source()
             .into_cases()
             .map(WorkItem::from)
+            .flat_map(|item| {
+                (0..3).map(move |copy| WorkItem {
+                    id: format!("{}#{copy}", item.id),
+                    ..item.clone()
+                })
+            })
             .collect();
 
         let bytecode_run = ValidationService::builder()
@@ -229,6 +239,10 @@ fn service_records_and_latency_histogram_are_engine_independent() {
         assert_eq!(
             bytecode_run.stats.judge_latency, oracle_run.stats.judge_latency,
             "{model}: judge-latency histogram buckets diverged"
+        );
+        assert!(
+            bytecode_run.stats.compile_cache_hits > 0,
+            "{model}: repeats must hit the compile cache"
         );
         assert_eq!(bytecode_run.stats.judged, oracle_run.stats.judged);
         assert_eq!(bytecode_run.stats.executed, oracle_run.stats.executed);
