@@ -49,7 +49,7 @@ use vv_judge::{JudgeProfile, PromptStyle};
 use vv_metrics::{Accumulator as _, LatencyTokenSummary, MetricsSink};
 use vv_pipeline::{ExecutionStrategy, PipelineMode, PipelineStats, ValidationService};
 use vv_probing::{CorpusSpec, ProbeConfig};
-use vv_simcompiler::{CompileCache, PersistentCache};
+use vv_simcompiler::CompileCache;
 use vv_store::ArtifactStore;
 
 use crate::experiment::{fold_probed_source, observe_record_all_case};
@@ -114,17 +114,17 @@ impl Scenario {
     }
 
     /// Like [`Scenario::service_with_cache`], but additionally backed by a
-    /// durable [`ArtifactStore`]: compile outcomes persist through a
-    /// [`PersistentCache`] disk tier and whole case records are replayed
-    /// from the store on re-runs (see `vv_pipeline::persist`). This is the
-    /// service the incremental campaign harness builds.
+    /// durable [`ArtifactStore`]: the store is the compile cache's disk
+    /// tier, and whole case records are replayed from it on re-runs (see
+    /// `vv_pipeline::persist`). This is the service the incremental
+    /// campaign harness builds.
     pub fn service_with_store(
         &self,
         cache: Arc<CompileCache>,
         store: &Arc<ArtifactStore>,
     ) -> ValidationService {
         self.builder()
-            .persistent_compile(Arc::new(PersistentCache::new(cache, Arc::clone(store))))
+            .compile_cache(cache)
             .artifact_store(Arc::clone(store))
             .build()
     }

@@ -34,7 +34,7 @@ use crate::stats::PipelineStats;
 use crate::{CaseRecord, PipelineConfig, PipelineMode, WorkItem};
 use vv_corpus::CaseSource;
 use vv_judge::{JudgeProfile, PromptStyle};
-use vv_simcompiler::{CacheAdmission, CompileCache, CompileFetch, PersistentCache};
+use vv_simcompiler::{CompileCache, CompileFetch, PersistentCache};
 use vv_store::ArtifactStore;
 
 /// How the service schedules the per-file work.
@@ -92,6 +92,14 @@ impl ExecutionStrategy {
 
 /// Builder for [`ValidationService`].
 ///
+/// The compile layer is derived from two optional inputs: a shared
+/// [`CompileCache`] ([`Self::compile_cache`], default
+/// [`CompileCache::shared`]) and an [`ArtifactStore`]
+/// ([`Self::artifact_store`]). With a store, compiles go memory cache →
+/// store → fresh compile (a [`PersistentCache`]); without one, through the
+/// memory cache alone. An explicit backend — [`Self::uncached_compile`] or
+/// [`Self::compile_backend`] — takes precedence over both inputs.
+///
 /// ```
 /// use vv_pipeline::{ExecutionStrategy, PipelineMode, ValidationService};
 ///
@@ -106,27 +114,21 @@ impl ExecutionStrategy {
 pub struct ValidationServiceBuilder {
     config: PipelineConfig,
     strategy: ExecutionStrategy,
+    /// An explicit compile backend; when set, `cache` and `store` do not
+    /// shape the compile layer.
     compile: Option<Arc<dyn CompileBackend>>,
     /// Concrete handle kept alongside `compile` when the compile backend is
-    /// the default simulated one, so executor threads can lease sessions
-    /// instead of round-tripping the pool per case.
+    /// a simulated one, so executor threads can lease sessions instead of
+    /// round-tripping the pool per case.
     sim_compile: Option<Arc<SimCompileBackend>>,
+    cache: Option<Arc<CompileCache>>,
     exec: Option<Arc<dyn ExecBackend>>,
     judge: Option<Arc<dyn JudgeBackend>>,
     store: Option<Arc<ArtifactStore>>,
-    cache_capacity: Option<usize>,
-    cache_admission: Option<CacheAdmission>,
-    cache_shards: Option<usize>,
     judge_pacing: Option<f64>,
 }
 
 impl ValidationServiceBuilder {
-    /// Start from an existing [`PipelineConfig`].
-    pub fn config(mut self, config: PipelineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Early-exit (production) or record-all (experimental) mode.
     pub fn mode(mut self, mode: PipelineMode) -> Self {
         self.config.mode = mode;
@@ -171,73 +173,34 @@ impl ValidationServiceBuilder {
             .judge_profile(JudgeProfile::deepseek_agent_indirect())
     }
 
-    /// Plug in a custom compile backend.
+    /// Plug in a custom compile backend. It takes precedence over
+    /// [`Self::compile_cache`] and [`Self::artifact_store`] for the compile
+    /// stage.
     pub fn compile_backend(mut self, backend: impl CompileBackend + 'static) -> Self {
         self.compile = Some(Arc::new(backend));
         self.sim_compile = None;
         self
     }
 
-    /// Plug in a simulated compile backend, keeping the concrete handle so
-    /// executor threads can lease its sessions for their lifetime.
-    fn sim_compile_backend(mut self, backend: SimCompileBackend) -> Self {
-        let backend = Arc::new(backend);
-        self.sim_compile = Some(Arc::clone(&backend));
-        self.compile = Some(backend);
-        self
-    }
-
-    /// Compile through a shared content-addressed compile cache (a
-    /// [`SimCompileBackend`] around `cache`). Several services — e.g. the
+    /// Compile through a shared content-addressed compile cache instead of
+    /// a fresh [`CompileCache::shared`]. Several services — e.g. the
     /// scenarios of a campaign that re-run identical corpus shards — can
     /// share one cache and compile each distinct source once between them.
-    pub fn compile_cache(self, cache: Arc<vv_simcompiler::CompileCache>) -> Self {
-        self.sim_compile_backend(SimCompileBackend::cached(cache))
-    }
-
-    /// Compile every file afresh (no content-addressed cache); the
-    /// benchmark baseline and the choice for memory-austere deployments.
-    pub fn uncached_compile(self) -> Self {
-        self.sim_compile_backend(SimCompileBackend::uncached())
-    }
-
-    /// Compile through a two-tier persistent cache (memory over a durable
-    /// store); see [`vv_simcompiler::PersistentCache`]. This only covers
-    /// the compile stage — pair it with [`Self::artifact_store`] (usually
-    /// over the same store) for whole-record persistence.
-    pub fn persistent_compile(self, persist: Arc<PersistentCache>) -> Self {
-        self.sim_compile_backend(SimCompileBackend::persistent(persist))
-    }
-
-    /// Capacity of the *default* compile cache's hot generation (total
-    /// retention is bounded by twice this; see
-    /// [`vv_simcompiler::CacheAdmission`] for the eviction scheme). Ignored
-    /// when an explicit compile backend is plugged in.
-    pub fn compile_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
+    /// With an [`Self::artifact_store`] attached, the store becomes this
+    /// cache's disk tier.
+    pub fn compile_cache(mut self, cache: Arc<CompileCache>) -> Self {
+        self.cache = Some(cache);
         self
     }
 
-    /// Admission policy of the *default* compile cache:
-    /// [`CacheAdmission::SecondTouch`] (the default — an address must
-    /// recur before its outcome is memoized, so single-use sources never
-    /// consume capacity) or [`CacheAdmission::FirstTouch`] (memoize
-    /// immediately — better for small working sets known to recur).
-    /// Ignored when an explicit compile backend is plugged in.
-    pub fn compile_cache_admission(mut self, admission: CacheAdmission) -> Self {
-        self.cache_admission = Some(admission);
-        self
-    }
-
-    /// Shard count of the *default* compile cache (`0` = the library
-    /// default, [`vv_simcompiler::DEFAULT_CACHE_SHARDS`]). Each shard has
-    /// its own lock and hit/miss counters, so concurrent compile workers
-    /// contend only when their sources hash to the same shard;
-    /// [`vv_simcompiler::CompileCache::stats`] still reports the merged
-    /// totals. Use `1` to restore the single-lock layout. Ignored when an
-    /// explicit compile backend or cache is plugged in.
-    pub fn compile_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = Some(shards);
+    /// Compile every file afresh (no content-addressed cache, no disk
+    /// tier); the slow oracle the cached paths are checked against. Takes
+    /// precedence over [`Self::compile_cache`] and
+    /// [`Self::artifact_store`] for the compile stage.
+    pub fn uncached_compile(mut self) -> Self {
+        let backend = Arc::new(SimCompileBackend::uncached());
+        self.sim_compile = Some(Arc::clone(&backend));
+        self.compile = Some(backend);
         self
     }
 
@@ -253,9 +216,9 @@ impl ValidationServiceBuilder {
 
     /// Attach a durable artifact store. Two layers light up:
     ///
-    /// * the *default* compile backend becomes persistent (memory cache
-    ///   over this store), so recurring sources skip the frontend across
-    ///   processes;
+    /// * the compile cache gets this store as its disk tier (unless an
+    ///   explicit compile backend is plugged in), so recurring sources skip
+    ///   the frontend across processes;
     /// * if every stage backend states a configuration fingerprint (the
     ///   defaults all do), completed [`CaseRecord`]s are persisted under
     ///   `(mode, fingerprints, model, lang, source)` and replayed wholesale
@@ -279,7 +242,9 @@ impl ValidationServiceBuilder {
     }
 
     /// Finalize the service. Unset backends fall back to the simulated
-    /// substrates configured by the [`PipelineConfig`].
+    /// substrates: the compile layer derived from the cache and store (see
+    /// the type docs), the default executor, and the surrogate judge built
+    /// from the judge style, profile and seed.
     pub fn build(self) -> ValidationService {
         let mut judge = self.judge.unwrap_or_else(|| {
             Arc::new(SurrogateJudgeBackend::new(
@@ -298,19 +263,7 @@ impl ValidationServiceBuilder {
         let compile: Arc<dyn CompileBackend> = match self.compile {
             Some(backend) => backend,
             None => {
-                let cache = if self.cache_capacity.is_none()
-                    && self.cache_admission.is_none()
-                    && self.cache_shards.is_none()
-                {
-                    CompileCache::shared()
-                } else {
-                    Arc::new(CompileCache::with_shards(
-                        self.cache_capacity
-                            .unwrap_or(vv_simcompiler::cache::DEFAULT_CACHE_CAPACITY),
-                        self.cache_admission.unwrap_or_default(),
-                        self.cache_shards.unwrap_or(0),
-                    ))
-                };
+                let cache = self.cache.unwrap_or_else(CompileCache::shared);
                 let backend = Arc::new(match &self.store {
                     Some(store) => SimCompileBackend::persistent(Arc::new(PersistentCache::new(
                         cache,
@@ -387,11 +340,6 @@ impl ValidationService {
     /// A builder with default config, strategy and backends.
     pub fn builder() -> ValidationServiceBuilder {
         ValidationServiceBuilder::default()
-    }
-
-    /// A service with the given config and default backends/strategy.
-    pub fn new(config: PipelineConfig) -> Self {
-        Self::builder().config(config).build()
     }
 
     /// The effective configuration.
@@ -730,5 +678,50 @@ impl Drop for RecordStream {
                 std::panic::resume_unwind(payload);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vv_dclang::DirectiveModel;
+    use vv_simcompiler::Lang;
+
+    #[test]
+    fn a_shared_cache_with_a_store_compiles_through_the_disk_tier() {
+        let dir = std::env::temp_dir().join(format!("vv-service-disk-tier-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open_shared(&dir).expect("open store");
+        let items: Vec<WorkItem> = (0..12)
+            .map(|i| WorkItem {
+                id: format!("case-{i}"),
+                source: format!("int main() {{ int x = {i}; return 0; }}"),
+                lang: Lang::C,
+                model: DirectiveModel::OpenAcc,
+            })
+            .collect();
+        let first = ValidationService::builder()
+            .compile_cache(CompileCache::shared())
+            .artifact_store(Arc::clone(&store))
+            .build()
+            .run(items.clone());
+        // A fresh memory cache and a new judge seed: no record replays, so
+        // every compile must come from the store the first service filled.
+        let second = ValidationService::builder()
+            .compile_cache(CompileCache::shared())
+            .artifact_store(Arc::clone(&store))
+            .judge_seed(7)
+            .build()
+            .run(items.clone());
+        let stats = &second.stats;
+        assert_eq!(stats.store_hits, 0);
+        assert_eq!(stats.compiled, items.len());
+        assert_eq!(stats.compile_cache_misses, 0);
+        assert_eq!(stats.compile_cache_hits, stats.compiled);
+        for (a, b) in first.records.iter().zip(&second.records) {
+            assert_eq!(a.compile, b.compile);
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,7 +35,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use vv_pipeline::{encode_record, PipelineStats, ValidationService, WorkItem};
-use vv_simcompiler::{CompileCache, PersistentCache};
+use vv_simcompiler::CompileCache;
 use vv_store::ArtifactStore;
 
 use crate::protocol::{
@@ -291,20 +291,15 @@ impl ServerInner {
     fn service_for(&self, spec: &JobSpec) -> Arc<ValidationService> {
         let mut services = self.services.lock();
         Arc::clone(services.entry(spec.key()).or_insert_with(|| {
-            let builder = ValidationService::builder()
+            let mut builder = ValidationService::builder()
                 .mode(spec.mode)
                 .judge_style(spec.style)
                 .judge_profile(spec.profile.profile())
-                .judge_seed(spec.judge_seed);
-            let builder = match &self.store {
-                Some(store) => builder
-                    .persistent_compile(Arc::new(PersistentCache::new(
-                        Arc::clone(&self.cache),
-                        Arc::clone(store),
-                    )))
-                    .artifact_store(Arc::clone(store)),
-                None => builder.compile_cache(Arc::clone(&self.cache)),
-            };
+                .judge_seed(spec.judge_seed)
+                .compile_cache(Arc::clone(&self.cache));
+            if let Some(store) = &self.store {
+                builder = builder.artifact_store(Arc::clone(store));
+            }
             Arc::new(builder.build())
         }))
     }

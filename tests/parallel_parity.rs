@@ -3,10 +3,10 @@
 //!
 //! The contract under test, at release scale:
 //!
-//! * **Byte identity** — for every worker count, compile-cache shard
-//!   layout and artifact-store state (none, cold, warm), `Pipelined`
-//!   produces records equal (full `CaseRecord` equality, every captured
-//!   field) to the `Sequential` baseline, in both pipeline modes;
+//! * **Byte identity** — for every worker count and artifact-store state
+//!   (none, cold, warm), `Pipelined` produces records equal (full
+//!   `CaseRecord` equality, every captured field) to the `Sequential`
+//!   baseline, in both pipeline modes;
 //! * **Counter parity** — the stage counters (`submitted`, `compiled`,
 //!   `executed`, `judged` and their failure/rejection tallies) equal the
 //!   `Sequential` run's exactly, and the store counters conserve
@@ -78,9 +78,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Where one pipelined run keeps its compile cache and records.
 #[derive(Clone, Copy, Debug)]
 enum Layout {
-    /// The in-memory compile cache with this many shards (`0` = the
-    /// library default).
-    Shards(usize),
+    /// The in-memory (sharded) compile cache alone.
+    Memory,
     /// An artifact store over a scratch directory: a cold run, then a warm
     /// rerun over the populated store.
     Store,
@@ -129,18 +128,14 @@ fn pipelined_is_byte_identical_to_sequential_across_workers_and_shards() {
         assert!(reference.stats.compile_failures > 0, "no compile failures");
 
         for workers in WORKER_COUNTS {
-            // The default sharded cache and the single-lock single-shard
-            // layout both uphold the identity, and so does a store-backed
-            // run whether it validates fresh or replays.
-            for layout in [Layout::Shards(0), Layout::Shards(1), Layout::Store] {
+            // The in-memory sharded cache upholds the identity, and so does
+            // a store-backed run whether it validates fresh or replays.
+            for layout in [Layout::Memory, Layout::Store] {
                 let label = format!("{mode:?} workers={workers} {layout:?}");
                 let strategy = ExecutionStrategy::Pipelined { workers };
                 match layout {
-                    Layout::Shards(shards) => {
-                        let run = builder(mode, strategy)
-                            .compile_cache_shards(shards)
-                            .build()
-                            .run(items.clone());
+                    Layout::Memory => {
+                        let run = builder(mode, strategy).build().run(items.clone());
                         assert_matches_reference(&reference, &run, &label);
                     }
                     Layout::Store => {
